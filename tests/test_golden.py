@@ -1,0 +1,57 @@
+"""Byte-for-byte contract on structured reports.
+
+Each case runs one CLI verb on a built-in scenario with
+``--format structured`` and compares the report with the file committed
+under tests/golden/.  A refactor or optimisation must leave every file
+unchanged.  After an intended report change, rewrite the files with
+``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
+"""
+
+from __future__ import annotations
+
+import pathlib
+import sys
+
+import pytest
+
+from twistcheck import cli
+from twistcheck.scenarios import BUILDERS
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+# Verbs that accept --subdivide run on every scenario at levels 0-2.  The
+# rest refuse refinement (involution verbs) or need curves only some
+# scenarios carry, so they run unrefined where the scenario provides
+# what they need.
+CASES = ([(verb, name, n)
+          for verb in ("hf", "cohomology", "cut", "element-a")
+          for name in sorted(BUILDERS) for n in (0, 1, 2)]
+         + [(verb, name, 0)
+            for verb in ("involution", "verify-theorem-a")
+            for name in ("genus2", "genus3", "torus")]
+         + [(verb, name, 0)
+            for verb in ("les-check", "twist")
+            for name in ("genus2-crossing", "torus-les")])
+
+
+def golden_path(verb: str, name: str, subdivide: int) -> pathlib.Path:
+    return GOLDEN / f"{verb}--{name}--s{subdivide}.json"
+
+
+def write_report(verb: str, name: str, subdivide: int, out) -> int:
+    return cli.main([verb, name, "--subdivide", str(subdivide),
+                     "--format", "structured", "--out", str(out)])
+
+
+@pytest.mark.parametrize("verb,name,subdivide", CASES)
+def test_report_bytes_unchanged(verb, name, subdivide, tmp_path):
+    out = tmp_path / "report.json"
+    assert write_report(verb, name, subdivide, out) == 0
+    assert out.read_bytes() == golden_path(verb, name, subdivide).read_bytes()
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for case in CASES:
+        if write_report(*case, golden_path(*case)) != 0:
+            sys.exit(f"no passing report for {case}")
