@@ -12,6 +12,7 @@ fails, 2 on usage or input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -193,7 +194,11 @@ def _run_model(args) -> VerificationReport:
         residuals=[r.as_dict() for _, r in reports])
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every
+    main() call: parse_args leaves it unchanged and returns a fresh
+    namespace each time."""
     parser = argparse.ArgumentParser(
         prog="twistcheck",
         description="verification toolkit for Dehn twists, involutions "
@@ -246,8 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.verb == "verify-model":
             report = _run_model(args)

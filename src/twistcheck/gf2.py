@@ -50,7 +50,9 @@ def eye(n: int) -> np.ndarray:
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return (a.astype(np.int64) @ b.astype(np.int64) % 2).astype(np.uint8)
+    # float64 reaches BLAS, which numpy's integer matmul does not; every
+    # entry is a sum of 0/1 products, exact while the inner size < 2**53.
+    return (a.astype(np.float64) @ b.astype(np.float64) % 2).astype(np.uint8)
 
 
 def rref(a: np.ndarray):
@@ -65,23 +67,19 @@ def rref(a: np.ndarray):
     pivots = []
     lead = 0
     for col in range(cols):
-        sel = None
-        for row in range(lead, rows):
-            if r[row, col]:
-                sel = row
-                break
-        if sel is None:
-            continue
-        if sel != lead:
-            r[[lead, sel]] = r[[sel, lead]]
-        others = np.nonzero(r[:, col])[0]
-        for row in others:
-            if row != lead:
-                r[row] ^= r[lead]
-        pivots.append(col)
-        lead += 1
         if lead == rows:
             break
+        below = r[lead:, col].nonzero()[0]
+        if below.size == 0:
+            continue
+        sel = lead + below[0]
+        if sel != lead:
+            r[[lead, sel]] = r[[sel, lead]]
+        # Row `lead` is zero left of col, so only columns col.. change.
+        others = r[:, col].nonzero()[0]
+        r[others[others != lead], col:] ^= r[lead, col:]
+        pivots.append(col)
+        lead += 1
     return r, pivots
 
 
@@ -93,14 +91,13 @@ def rank(a: np.ndarray) -> int:
 
 def kernel_basis(a: np.ndarray) -> np.ndarray:
     """Columns form a basis of the null space, in free-column order."""
-    rows, cols = a.shape
     r, pivots = rref(a)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = zeros(cols, len(free))
-    for j, fc in enumerate(free):
-        basis[fc, j] = 1
-        for i, pc in enumerate(pivots):
-            basis[pc, j] = r[i, fc]
+    is_free = np.ones(a.shape[1], dtype=bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
+    basis = zeros(a.shape[1], free.size)
+    basis[free, np.arange(free.size)] = 1
+    basis[pivots] = r[:len(pivots), free]
     return basis
 
 
@@ -118,21 +115,8 @@ def solve(a: np.ndarray, b: np.ndarray):
     if any(p >= cols for p in pivots):
         return None
     x = zeros(cols, b.shape[1])
-    for i, pc in enumerate(pivots):
-        x[pc] = aug[i, cols:]
+    x[pivots] = aug[:len(pivots), cols:]
     return x
-
-
-def in_span(basis: np.ndarray, v: np.ndarray) -> bool:
-    return solve(basis, v) is not None
-
-
-def column_space_basis(a: np.ndarray) -> np.ndarray:
-    """Columns of a restricted to the lexicographically first independent set."""
-    if a.size == 0:
-        return a.reshape(a.shape[0], 0)
-    _, pivots = rref(a)
-    return a[:, pivots]
 
 
 def random_invertible(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -253,25 +237,22 @@ class ChainComplex:
     # -- homology ----------------------------------------------------------
 
     def homology_data(self, k: int):
-        """(representative columns, image basis) in degree k."""
-        dk = self.diff(k)
-        prev = self.prev_deg(k)
-        if self.mod2 or prev in self.d or self.dims[prev]:
-            dprev = self.diff(prev)
-        else:
-            dprev = zeros(self.dims[k], 0)
-        ker = kernel_basis(dk) if self.dims[k] else zeros(0, 0)
-        img = column_space_basis(dprev)
-        reps = []
-        span = img
-        for j in range(ker.shape[1]):
-            v = ker[:, j:j + 1]
-            if not in_span(span, v):
-                reps.append(v)
-                span = np.concatenate([span, v], axis=1)
-        reps_m = (np.concatenate(reps, axis=1) if reps
-                  else zeros(self.dims[k], 0))
-        return reps_m, img
+        """(representative columns, image basis) in degree k.
+
+        The image basis is the lexicographically first independent set of
+        columns of d_{k-1}; the representatives are the lexicographically
+        first kernel-basis columns independent modulo the image.  Both are
+        read off the pivots of one elimination of [d_{k-1} | ker d_k]: a
+        column is a pivot exactly when it is not in the span of the
+        columns to its left.
+        """
+        dprev = self.diff(self.prev_deg(k))
+        ker = kernel_basis(self.diff(k))
+        _, pivots = rref(np.concatenate([dprev, ker], axis=1))
+        pivots = np.array(pivots, dtype=int)
+        n_prev = dprev.shape[1]
+        return (ker[:, pivots[pivots >= n_prev] - n_prev],
+                dprev[:, pivots[pivots < n_prev]])
 
     def homology(self) -> GradedDims:
         return GradedDims({k: self.homology_data(k)[0].shape[1]
@@ -279,10 +260,6 @@ class ChainComplex:
 
     def homology_reps(self) -> dict[int, np.ndarray]:
         return {k: self.homology_data(k)[0] for k in self.degrees()}
-
-
-def validate_complex(c: ChainComplex):
-    return c.validate()
 
 
 class ChainMap:
@@ -496,11 +473,8 @@ class LongExactSequence:
             else:
                 k1 = (n.degree + 1) % 2 if mod2 else n.degree + 1
                 nxt = by.get(("f*", k1))
-                if nxt is None and mod2:
-                    nxt = by.get(("f*", k1))
             if nxt is not None:
                 edges.append((n, nxt))
-        # close up the Z/2 cycle: last p* feeds the first f*
         return edges
 
     def _check_exactness(self, mod2: bool):

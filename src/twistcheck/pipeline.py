@@ -154,14 +154,6 @@ def chi2(dims: g.GradedDims) -> int:
     return dims.total() % 2
 
 
-def _kunneth(a: g.GradedDims, b: g.GradedDims) -> g.GradedDims:
-    """Graded ranks of the tensor product, via an honest tensor of
-    zero-differential complexes."""
-    ca = g.ChainComplex(a, {}, mod2=True)
-    cb = g.ChainComplex(b, {}, mod2=True)
-    return g.tensor_complex(ca, cb).homology()
-
-
 def les_rank_check(scenario: TwistScenario) -> VerificationReport:
     """Rank bookkeeping of the twist exact sequence on (S, Q, N)."""
     _check_scenario(scenario)
@@ -183,7 +175,7 @@ def les_rank_check(scenario: TwistScenario) -> VerificationReport:
     except fl.NonTransverseError as exc:
         raise PipelineError(f"curve pair not transversalizable: {exc}")
 
-    r1g = _kunneth(hf_sn, hf_qs)
+    r1g = g.convolve(hf_sn, hf_qs, mod2=True)
 
     # One exact triangle governs one twist, so a power k is audited as
     # |k| consecutive steps comparing HF(Q, tau^j N) with

@@ -265,10 +265,6 @@ class Surface:
         return s, emap
 
 
-def build_surface(face_words) -> Surface:
-    return Surface(face_words)
-
-
 def subdivide(x: Surface, n: int) -> Surface:
     if n < 0:
         raise SurfaceError("subdivision count must be nonnegative")
@@ -370,9 +366,6 @@ class CutComponent:
 
     def euler(self) -> int:
         return len(self.vertices) - len(self.edges) + len(self.faces)
-
-    def is_disk(self) -> bool:
-        return self.euler() == 1
 
     def is_annulus(self) -> bool:
         return self.euler() == 0 and len(self.boundary) == 2

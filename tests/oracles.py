@@ -49,6 +49,31 @@ def oracle_homology_ranks(dims: dict[int, int],
     return out
 
 
+def greedy_homology_reps(dprev: np.ndarray, ker: np.ndarray):
+    """Reference basis choice of ChainComplex.homology_data: (reps, img).
+
+    Walks the columns of dprev and then of ker left to right and keeps
+    each one that is not in the span of the columns kept so far, one span
+    test per column against an xor basis of python ints.  The kept dprev
+    columns are the image basis, the kept ker columns the representatives.
+    """
+    basis = {}  # leading bit -> basis vector with that leading bit
+
+    def independent(col) -> bool:
+        v = int("".join(str(int(x)) for x in col) or "0", 2)
+        while v:
+            top = v.bit_length() - 1
+            if top not in basis:
+                basis[top] = v
+                return True
+            v ^= basis[top]
+        return False
+
+    img = [j for j in range(dprev.shape[1]) if independent(dprev[:, j])]
+    reps = [j for j in range(ker.shape[1]) if independent(ker[:, j])]
+    return ker[:, reps], dprev[:, img]
+
+
 def enumerate_space(basis_cols: np.ndarray):
     """All vectors of the GF(2) span of the given columns."""
     n, k = basis_cols.shape

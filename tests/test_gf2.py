@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from twistcheck import gf2 as g
 
-from oracles import (naive_rank_gf2, oracle_homology_ranks,
-                     oracle_induced_matrix)
+from oracles import (greedy_homology_reps, naive_rank_gf2,
+                     oracle_homology_ranks, oracle_induced_matrix)
 
 
 def rng(seed=0):
@@ -280,3 +280,34 @@ def test_solve_consistent_system(m, bits):
     b = g.matmul(m, x)
     y = g.solve(m, b)
     assert y is not None and not (g.matmul(m, y) ^ b).any()
+
+
+def assert_greedy_basis(cx, k):
+    reps, img = cx.homology_data(k)
+    want_reps, want_img = greedy_homology_reps(
+        cx.diff(cx.prev_deg(k)), g.kernel_basis(cx.diff(k)))
+    for got, want in ((reps, want_reps), (img, want_img)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6))
+@settings(max_examples=60, deadline=None)
+def test_homology_basis_matches_greedy_on_random_complexes(seed, max_dim):
+    cx, _, _ = g.random_complex(rng(seed), max_dim=max_dim)
+    for k in cx.degrees():
+        assert_greedy_basis(cx, k)
+
+
+@given(gf2_matrix(), st.integers(1, 6), st.integers(0, 2 ** 36 - 1))
+@settings(max_examples=60, deadline=None)
+def test_homology_basis_matches_greedy_on_matrix_pairs(d0, n2, bits):
+    # d1 takes its rows from the left null space of d0, so d1 d0 = 0.
+    left_null = g.kernel_basis(d0.T)
+    mix = g.gf2([[(bits >> (i * 6 + j)) & 1
+                  for j in range(left_null.shape[1])] for i in range(n2)])
+    d1 = g.matmul(mix, left_null.T)
+    cx = g.ChainComplex({0: d0.shape[1], 1: d0.shape[0], 2: n2},
+                        {0: d0, 1: d1})
+    for k in (0, 1, 2):
+        assert_greedy_basis(cx, k)

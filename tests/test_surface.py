@@ -88,6 +88,14 @@ class TestCohomology:
         h = sf.cellular_cohomology(cut)
         assert h.dims == {0: 1, 1: 1}
 
+    def test_grid_torus_at_scale(self):
+        # 400 faces: the single-elimination homology basis keeps this
+        # well inside the suite's budget.
+        s = sc.grid_torus(20)
+        assert sf.cellular_cohomology(s).dims == {0: 1, 1: 2, 2: 1}
+        cut = sf.cut_along(s, [sc.grid_row(s, 20, 7)])
+        assert sf.cellular_cohomology(cut).dims == {0: 1, 1: 1}
+
 
 class TestCut:
     def test_genus2_separating(self):
