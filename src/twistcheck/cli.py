@@ -114,6 +114,7 @@ def _run_cut(scenario, args) -> VerificationReport:
 
 
 def _run_twist(scenario, args) -> VerificationReport:
+    pl.cut_along_s(scenario)  # rejects a contractible S
     table = dict(scenario.curves)
     for c in (scenario.s_curve, scenario.q_curve, scenario.n_curve):
         if c is not None and c.name:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import gf2
-from .surface import Curve, CurveError, Surface, cut_along
+from .surface import Curve, Surface, _curve_vertex_data, _fresh, cut_along
 
 
 class FloerError(Exception):
@@ -23,6 +23,15 @@ class FloerError(Exception):
 
 class NonTransverseError(FloerError):
     pass
+
+
+def _require_noncontractible(*curves):
+    """Floer theory here is defined for noncontractible curves only."""
+    for cur in curves:
+        if cur.is_contractible():
+            raise FloerError(
+                f"curve {cur.name or '?'} is contractible; Floer theory "
+                "requires noncontractible curves")
 
 
 # ---------------------------------------------------------------------------
@@ -233,11 +242,7 @@ def _bigon_pairs(s: Surface, regions, l0: Curve):
 
 
 def floer_complex(l0: Curve, l1: Curve) -> FloerComplex:
-    for cur in (l0, l1):
-        if cur.is_contractible():
-            raise FloerError(
-                f"curve {cur.name or '?'} is contractible; Floer theory "
-                "requires noncontractible curves")
+    _require_noncontractible(l0, l1)
     points = find_intersections(l0, l1)
     regions = _region_census(l0.surface, [l0, l1])
     gens = {0: [p.vertex for p in points if p.degree == 0],
@@ -286,9 +291,13 @@ def dehn_twist(surface: Surface, s_curve: Curve, k: int,
 
     k > 0 twists to the right of the oriented curve (shear in the
     direction of increasing column index)."""
-    twist, carry = list(twist), list(carry)
-    if s_curve.is_contractible():
-        raise FloerError("cannot twist along a contractible curve")
+    _require_noncontractible(s_curve)
+    return _dehn_twist(surface, s_curve, k, list(twist), list(carry))
+
+
+def _dehn_twist(surface: Surface, s_curve: Curve, k: int, twist: list,
+                carry: list) -> TwistOutcome:
+    """dehn_twist without the contractibility guard on s_curve."""
     if k == 0:
         return TwistOutcome(surface, s_curve, twist, carry,
                             {n: [n] for n in surface.edge_names})
@@ -324,7 +333,6 @@ def dehn_twist(surface: Surface, s_curve: Curve, k: int,
     taken = set(s1.edge_names)
 
     def fresh(base):
-        from .surface import _fresh
         name = _fresh(base, taken)
         taken.add(name)
         return name
@@ -366,7 +374,6 @@ def dehn_twist(surface: Surface, s_curve: Curve, k: int,
 
     # sides: row 0 is glued to the right of S (the side carrying the
     # reversed occurrences), row R to the left
-    from .surface import _curve_vertex_data
     _, _, at_vertex, left = _curve_vertex_data(s1, [S1])
 
     def travels_up(pt) -> bool:
@@ -427,18 +434,6 @@ def dehn_twist(surface: Surface, s_curve: Curve, k: int,
             mapped.append(rc[col_of_edge[e]] if e in col_of_edge else p)
         name_map[name] = mapped
     return TwistOutcome(s2, s_image, out_twisted, out_carried, name_map)
-
-
-def combinatorial_dehn_twist(n_curve: Curve, s_curve: Curve,
-                             k: int) -> Curve:
-    """The image of n_curve under the k-th power of the twist along
-    s_curve, as a curve on the reglued surface."""
-    if k == 0 or n_curve.edges == s_curve.edges:
-        return n_curve
-    if not (set(n_curve.vertices) & set(s_curve.vertices)):
-        return n_curve
-    return dehn_twist(n_curve.surface, s_curve, k,
-                      twist=[n_curve]).twisted[0]
 
 
 # ---------------------------------------------------------------------------
@@ -676,9 +671,12 @@ def rank_hf(l0: Curve, l1: Curve) -> gf2.GradedDims:
     Isotopic pairs (including l1 = l0) use the standard two-crossing
     perturbed model: rank one in each degree.
     """
-    for cur in (l0, l1):
-        if cur.is_contractible():
-            raise FloerError("rank_hf requires noncontractible curves")
+    _require_noncontractible(l0, l1)
+    return _rank_hf(l0, l1)
+
+
+def _rank_hf(l0: Curve, l1: Curve) -> gf2.GradedDims:
+    """rank_hf without the contractibility guard."""
     if l0.edges == l1.edges:
         return gf2.GradedDims({0: 1, 1: 1})
     if l0.edges & l1.edges:
@@ -692,3 +690,31 @@ def rank_hf(l0: Curve, l1: Curve) -> gf2.GradedDims:
     pts = find_intersections(l0, l1)
     return gf2.GradedDims({0: sum(1 for p in pts if p.degree == 0),
                            1: sum(1 for p in pts if p.degree == 1)})
+
+
+def twist_rank_sequence(s_curve: Curve, q_curve: Curve, n_curve: Curve,
+                        k: int):
+    """The Floer ranks the twist exact sequence audits on (S, Q, N).
+
+    Returns (hf(S, N), hf(Q, S), sequence, moved): sequence lists
+    hf(Q, tau_S^j N) for j = 0, 1, ..., k (or down to k when k < 0), and
+    moved is False when the twist fixes N (k = 0, N = S, or N disjoint
+    from S), in which case every entry equals hf(Q, N).  The three curves
+    are checked once, on the input surface; a Dehn twist is a
+    homeomorphism, so the twisted images stay noncontractible and the
+    per-step work runs through the unguarded cores.
+    """
+    S, Q, N = s_curve, q_curve, n_curve
+    _require_noncontractible(S, Q, N)
+    hf_sn, hf_qs, hf_qn = _rank_hf(S, N), _rank_hf(Q, S), _rank_hf(Q, N)
+    crossings = N.edges != S.edges and find_intersections(N, S)
+    sequence = [hf_qn]
+    if k == 0 or not crossings:
+        return hf_sn, hf_qs, sequence + [hf_qn] * abs(k), False
+    # one exact triangle governs one twist, so the power k is walked as
+    # |k| single steps
+    step = 1 if k > 0 else -1
+    for j in range(step, k + step, step):
+        out = _dehn_twist(S.surface, S, j, [N], [Q])
+        sequence.append(_rank_hf(out.carried[0], out.twisted[0]))
+    return hf_sn, hf_qs, sequence, True

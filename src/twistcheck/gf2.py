@@ -163,9 +163,6 @@ class GradedDims:
             return GradedDims(out)
         return GradedDims({k + n: d for k, d in self.dims.items()})
 
-    def as_tuple(self):
-        return tuple((k, self.dims[k]) for k in self.degrees())
-
 
 def convolve(a: "GradedDims", b: "GradedDims", mod2: bool) -> "GradedDims":
     out: dict[int, int] = {}
@@ -185,8 +182,8 @@ class ChainComplex:
             dims = GradedDims(dict(dims))
         self.dims = dims
         self.mod2 = mod2
-        self.d = {int(k): gf2(m) for k, m in (differentials or {}).items()
-                  if gf2(m).shape[0] > 0 and gf2(m).shape[1] > 0}
+        self.d = {int(k): m2 for k, m in (differentials or {}).items()
+                  if (m2 := gf2(m)).size}
         if check:
             ok, why = self.validate()
             if not ok:
@@ -257,9 +254,6 @@ class ChainComplex:
     def homology(self) -> GradedDims:
         return GradedDims({k: self.homology_data(k)[0].shape[1]
                            for k in self.degrees()})
-
-    def homology_reps(self) -> dict[int, np.ndarray]:
-        return {k: self.homology_data(k)[0] for k in self.degrees()}
 
 
 class ChainMap:
@@ -493,10 +487,6 @@ class LongExactSequence:
 
     def node_dims(self):
         return self.h_source, self.h_target, self.h_cone
-
-
-def les_of_cone(f: ChainMap) -> LongExactSequence:
-    return LongExactSequence(f)
 
 
 def tensor_complex(c: ChainComplex, d: ChainComplex) -> ChainComplex:

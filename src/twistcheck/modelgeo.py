@@ -51,7 +51,6 @@ __all__ = [
     "model_dehn_twist_inverse",
     "c0_star",
     "handle_point",
-    "suspension_point",
     "moser_rescale",
     "random_sample",
     "random_batch",
@@ -667,22 +666,6 @@ def _suspension_flow(q: np.ndarray, pf: np.ndarray, t: float,
     q1, p1 = _flow(q, pf, a)
     q2, p2 = _flow(q, -pf, nu0(n) + b)
     return q1, p1, q2, p2, a, b
-
-
-def suspension_point(xi: CotangentSample, t: float, nu0: ProfileFunction,
-                     K: NormHamiltonian) -> HandlePoint:
-    """The suspension point (psi_t^K(x), t - i K_t) seeded by xi.
-
-    x is the nu0-handle point of xi (with vanishing T*R momentum); the
-    K-flow is evaluated in closed form through the accumulated geodesic
-    flow times, and K_t is evaluated at the flowed norms.
-    """
-    q1, p1, q2, p2, _, _ = _suspension_flow(
-        np.atleast_2d(xi.q), np.atleast_2d(xi.p), float(t), nu0, K)
-    n = xi.norm
-    z = t - 1j * float(np.asarray(K.value(float(t), n, n)))
-    return HandlePoint(CotangentSample(q1[0], p1[0]),
-                       CotangentSample(q2[0], p2[0]), z)
 
 
 def verify_suspension_symmetry(kind: str, nu0: ProfileFunction,

@@ -2,7 +2,9 @@
 
 Ties the layers together for a TwistScenario (a surface, a twist curve
 S, an orientation-reversing cell involution preserving S, and optional
-test curves Q, N):
+test curves Q, N).  The first four entry points below cut the surface
+along S exactly once (cut_along_s), reject a contractible S off that
+cut, and read everything else from it:
 
   * hf_inverse_twist: the rank surrogate for HF*(tau_S^{-1}), namely
     the cellular cohomology of the surface cut along S, with the
@@ -13,7 +15,8 @@ test curves Q, N):
   * involution_action: the matrices of c* on the cut cohomology;
   * verify_theorem_A: c*(A) = A and the supporting sanity verdicts;
   * les_rank_check: the rank-level shadow of the twist long exact
-    sequence on a triple (S, Q, N).  One triangle governs one twist:
+    sequence on a triple (S, Q, N), whose Floer ranks come from
+    floer.twist_rank_sequence.  One triangle governs one twist:
     with r1 = rank hf(S,N) * rank hf(Q,S) (Kunneth, the same at every
     power because tau_S fixes S), exactness forces, for consecutive
     ranks a = rank hf(Q, tau^{j-1} N) and b = rank hf(Q, tau^j N),
@@ -41,6 +44,7 @@ from .scenarios import TwistScenario
 __all__ = [
     "PipelineError",
     "AClass",
+    "cut_along_s",
     "hf_inverse_twist",
     "distinguished_element",
     "involution_action",
@@ -71,15 +75,17 @@ class AClass:
         return [int(x) for x in self.vector]
 
 
-def _check_scenario(scenario: TwistScenario, need_involution: bool = False):
-    if scenario.s_curve.is_contractible():
+def cut_along_s(scenario: TwistScenario) -> sf.CutResult:
+    """The cut of the surface along S, made once per entry point.
+
+    A contractible S is rejected off this same cut: a closed curve is
+    contractible exactly when cutting along it leaves a disk, the test
+    Curve.is_contractible runs.
+    """
+    cut = sf.cut_along(scenario.surface, [scenario.s_curve])
+    if any(c.euler() == 1 for c in cut.components):
         raise PipelineError("the twist curve S must be noncontractible")
-    if need_involution:
-        if scenario.involution is None:
-            raise PipelineError("scenario has no involution")
-        scenario.involution.require_valid()
-        if not scenario.involution.preserves_curve(scenario.s_curve):
-            raise PipelineError("the involution must preserve S")
+    return cut
 
 
 def hf_inverse_twist(scenario: TwistScenario
@@ -90,9 +96,12 @@ def hf_inverse_twist(scenario: TwistScenario
     with the cut itself, whose component list is the distinguished
     degree-0 basis.
     """
-    _check_scenario(scenario)
-    cut = sf.cut_along(scenario.surface, [scenario.s_curve])
+    cut = cut_along_s(scenario)
     return sf.cellular_cohomology(cut), cut
+
+
+def _a_class(cut: sf.CutResult) -> AClass:
+    return AClass(np.ones(len(cut.components), dtype=np.uint8))
 
 
 def distinguished_element(scenario: TwistScenario) -> AClass:
@@ -102,16 +111,18 @@ def distinguished_element(scenario: TwistScenario) -> AClass:
     vector, one entry per connected component of the cut surface; it is
     never zero.
     """
-    _, cut = hf_inverse_twist(scenario)
-    return AClass(np.ones(len(cut.components), dtype=np.uint8))
+    return _a_class(cut_along_s(scenario))
+
+
+def _action(scenario: TwistScenario, cut: sf.CutResult):
+    if scenario.involution is None:
+        raise PipelineError("scenario has no involution")
+    return sf.involution_induced_map(cut, scenario.involution)
 
 
 def involution_action(scenario: TwistScenario) -> Dict[int, np.ndarray]:
     """Matrices of c* on the cut cohomology, per degree."""
-    _check_scenario(scenario, need_involution=True)
-    ind, _ = sf.involution_induced_map(scenario.surface, scenario.s_curve,
-                                       scenario.involution)
-    return ind
+    return _action(scenario, cut_along_s(scenario))
 
 
 def _is_permutation(m: np.ndarray) -> bool:
@@ -126,8 +137,8 @@ def verify_theorem_A(scenario: TwistScenario) -> VerificationReport:
     scenario; a failure indicates an implementation bug.
     """
     dims, cut = hf_inverse_twist(scenario)
-    a = distinguished_element(scenario)
-    ind = involution_action(scenario)
+    a = _a_class(cut)
+    ind = _action(scenario, cut)
     m0 = ind[0]
     image = (m0 @ a.vector) % 2
 
@@ -156,48 +167,17 @@ def chi2(dims: g.GradedDims) -> int:
 
 def les_rank_check(scenario: TwistScenario) -> VerificationReport:
     """Rank bookkeeping of the twist exact sequence on (S, Q, N)."""
-    _check_scenario(scenario)
     S, Q, N = scenario.s_curve, scenario.q_curve, scenario.n_curve
     if Q is None or N is None:
         raise PipelineError("les_rank_check needs both test curves Q and N")
-    for curve, label in ((Q, "Q"), (N, "N")):
-        if curve.is_contractible():
-            raise PipelineError(f"test curve {label} must be "
-                                "noncontractible")
     k = scenario.twist_power
-
     try:
-        hf_sn = fl.rank_hf(S, N)
-        hf_qs = fl.rank_hf(Q, S)
-        hf_qn = fl.rank_hf(Q, N)
-        crossings = ([] if N.edges == S.edges
-                     else fl.find_intersections(N, S))
-    except fl.NonTransverseError as exc:
-        raise PipelineError(f"curve pair not transversalizable: {exc}")
-
+        hf_sn, hf_qs, sequence, moved = fl.twist_rank_sequence(S, Q, N, k)
+    except fl.FloerError as exc:
+        raise PipelineError(f"Floer ranks of (S, Q, N) unavailable: {exc}")
+    twisted_class = f"tau^{k}(N)" if moved else "unchanged"
     r1g = g.convolve(hf_sn, hf_qs, mod2=True)
-
-    # One exact triangle governs one twist, so a power k is audited as
-    # |k| consecutive steps comparing HF(Q, tau^j N) with
-    # HF(Q, tau^{j-1} N); the Kunneth corner is the same at every step
-    # because tau_S fixes S.
-    sequence = [hf_qn]
-    step = 1 if k > 0 else -1
-    if k != 0 and N.edges != S.edges and crossings:
-        for j in range(1, abs(k) + 1):
-            try:
-                out = fl.dehn_twist(scenario.surface, S, j * step,
-                                    twist=[N], carry=[Q])
-                sequence.append(fl.rank_hf(out.carried[0], out.twisted[0]))
-            except fl.NonTransverseError as exc:
-                raise PipelineError("transversality unachievable for the "
-                                    f"twisted configuration: {exc}")
-        twisted_class = f"tau^{k}(N)"
-    else:
-        # the class of N is fixed (k = 0, N = S, or N disjoint from S)
-        sequence.extend(hf_qn for _ in range(abs(k)))
-        twisted_class = "unchanged"
-    hf_qtn = sequence[-1]
+    hf_qn, hf_qtn = sequence[0], sequence[-1]
 
     r1, r2, r3 = r1g.total(), hf_qn.total(), hf_qtn.total()
     steps = list(zip(sequence, sequence[1:]))

@@ -146,10 +146,6 @@ class Surface:
 
     # -- dart utilities ------------------------------------------------
 
-    @staticmethod
-    def alpha(d: int) -> int:
-        return d ^ 1
-
     def tail(self, d: int) -> int:
         return int(self.vertex_of[d])
 
@@ -394,16 +390,30 @@ class CutComponent:
 
 @dataclass
 class CutResult:
+    """A surface cut along disjoint curves: the components, plus the
+    curve-vertex data of _curve_vertex_data that involution maps read."""
+
     surface: Surface
     curves: list
     components: list
+    curve_dart: dict
+    at_vertex: dict
+    left: dict
+    _complex: tuple | None = field(default=None, init=False, repr=False,
+                                   compare=False)
 
     def cochain_complex(self):
         """Block complex over all components, component-major cell order.
 
         Returns (complex, offsets) where offsets[k] lists the starting
-        index of each component block in degree k.
+        index of each component block in degree k.  Built on the first
+        call; later calls return the same complex.
         """
+        if self._complex is None:
+            self._complex = self._block_complex()
+        return self._complex
+
+    def _block_complex(self):
         parts = [c.cochain_complex() for c in self.components]
         dims = {k: sum(p.dims[k] for p in parts) for k in (0, 1, 2)}
         diffs = {}
@@ -423,7 +433,8 @@ class CutResult:
                 offs.append(acc)
                 acc += p.dims[k]
             offsets[k] = offs
-        return gf2.ChainComplex(dims, diffs), offsets
+        # every block was checked when its component complex was built
+        return gf2.ChainComplex(dims, diffs, check=False), offsets
 
     def cell_index(self):
         """Global (degree, label) -> index maps in the block ordering."""
@@ -580,7 +591,8 @@ def cut_along(surface: Surface, curves) -> CutResult:
             comp.boundary.append(
                 BoundaryCircle(curve_of_edge[circle[0][1]], circle))
 
-    result = CutResult(surface, list(curves), comps)
+    result = CutResult(surface, list(curves), comps, curve_dart, at_vertex,
+                       left)
     if sum(c.euler() for c in comps) != surface.euler():
         raise SurfaceError("cut bookkeeping lost Euler characteristic")
     return result
@@ -709,25 +721,19 @@ class Involution:
         return frozenset(self.on_edge(e) for e in curve.edges) == curve.edges
 
 
-def validate_involution(x: Surface, c: Involution):
-    diag = c.diagnostics()
-    return (not diag), diag
-
-
-def involution_induced_map(x: Surface, s_curve: Curve, c: Involution):
+def involution_induced_map(cut: CutResult, c: Involution):
     """Matrices of c* on H^*(X cut along S) in the distinguished bases.
 
-    Returns (induced dict degree -> matrix, cut result).  The degree-0
-    basis is the component indicator basis of the cut complex.
+    Takes the cut of X along S and returns the dict degree -> matrix.
+    The degree-0 basis is the component indicator basis of the cut
+    complex.
     """
     c.require_valid()
-    if not c.preserves_curve(s_curve):
+    if not all(c.preserves_curve(cur) for cur in cut.curves):
         raise InvolutionError(
             "the involution does not preserve the twist curve")
-    cut = cut_along(x, [s_curve])
-    x_ = x
-    curve_dart = {d // 2: d for d in s_curve.darts}
-    _, _, at_vertex, left = _curve_vertex_data(x_, [s_curve])
+    x = cut.surface
+    curve_dart, at_vertex, left = cut.curve_dart, cut.at_vertex, cut.left
 
     def edge_copy_image(e, side):
         f = c.on_edge(e)
@@ -745,7 +751,7 @@ def involution_induced_map(x: Surface, s_curve: Curve, c: Involution):
         if side == 0:
             sector = sorted(left[v])
         else:
-            sector = [d for d in x_.rotations[v]
+            sector = [d for d in x.rotations[v]
                       if d not in left[v] and d not in (dout, din ^ 1)]
         if sector:
             sides = {0 if c.on_dart(d) in left[w] else 1 for d in sector}
@@ -776,6 +782,7 @@ def involution_induced_map(x: Surface, s_curve: Curve, c: Involution):
         p2[f_idx[c.on_face(lab)], j] = 1
 
     cx, _ = cut.cochain_complex()
-    # pullback on cochains is the transpose of the cell permutation
-    chain = gf2.ChainMap(cx, cx, {0: p0.T, 1: p1.T, 2: p2.T})
-    return gf2.induced_map(chain), cut
+    # pullback on cochains is the transpose of the cell permutation;
+    # induced_map checks that it is a chain map
+    chain = gf2.ChainMap(cx, cx, {0: p0.T, 1: p1.T, 2: p2.T}, check=False)
+    return gf2.induced_map(chain)

@@ -162,7 +162,7 @@ def test_criterion_09_homological_suite():
         ok = ok and got == {k: v for k, v in want.items() if v}
         f, _ = g.random_chain_map(r, sd, td)
         try:
-            g.les_of_cone(f)  # raises on any exactness failure
+            g.LongExactSequence(f)  # raises on any exactness failure
         except Exception:
             ok = False
         dy, hy, _ = td

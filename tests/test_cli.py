@@ -4,6 +4,7 @@ import pytest
 
 from twistcheck import cli
 from twistcheck import report as rp
+from twistcheck import scenarios as sc
 
 TORUS_FILE = """
 [faces]
@@ -129,6 +130,21 @@ class TestInputsAndFlags:
         code, _, err = run(capsys, "twist", "torus", "--curve", "zz")
         assert code == 2
         assert "unknown curve" in err
+
+    def test_twist_contractible_s_exits_2(self, capsys, tmp_path):
+        # S bounds one square of the 4-by-4 grid torus
+        faces = "\n".join(" ".join(w) for w in
+                          sc.grid_torus(4).face_words_symbols())
+        path = tmp_path / "square.scn"
+        path.write_text(f"[faces]\n{faces}\n\n[curves]\n"
+                        "S = h0_0 v1_0 h0_1' v0_0'\n"
+                        "N = v2_0 v2_1 v2_2 v2_3\n\n"
+                        "[scenario]\ns = S\nn = N\n")
+        code, out, err = run(capsys, "twist", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == ("twistcheck: error: the twist curve S must be "
+                       "noncontractible\n")
 
     def test_unknown_verb_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

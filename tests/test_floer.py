@@ -185,9 +185,8 @@ class TestDehnTwist:
         s = sc.grid_torus(4)
         r0, c0 = sc.grid_row(s, 4, 0), sc.grid_col(s, 4, 0)
         r2 = sc.grid_row(s, 4, 2)
-        assert fl.combinatorial_dehn_twist(c0, r0, 0) is c0
-        assert fl.combinatorial_dehn_twist(r0, r0, 3) is r0
-        assert fl.combinatorial_dehn_twist(r2, r0, 3) is r2
+        assert fl.dehn_twist(s, r0, 0, twist=[c0]).twisted[0] is c0
+        assert fl.dehn_twist(s, r0, 3, twist=[r2]).twisted[0] is r2
 
     def test_twist_preserves_genus(self):
         s, a, b = square_torus()
@@ -225,6 +224,18 @@ class TestDehnTwist:
         out = fl.dehn_twist(s, r0, 1, twist=[sc.grid_col(s, 4, 1)],
                             carry=[r0_copy])
         assert out.carried[0].edges == out.s_image.edges
+
+    @pytest.mark.parametrize("build", [sc.torus_les_scenario,
+                                       sc.genus2_crossing_scenario])
+    def test_twisted_images_stay_noncontractible(self, build):
+        # twist_rank_sequence checks Q and N once, on the input surface,
+        # and ranks their twisted images without checking them again
+        scen = build()
+        for j in range(-3, 4):
+            out = fl.dehn_twist(scen.surface, scen.s_curve, j,
+                                twist=[scen.n_curve], carry=[scen.q_curve])
+            for cur in out.twisted + out.carried:
+                assert not cur.is_contractible(), (scen.description, j)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, -1, -2, -3, -4, -5])
     def test_slope_ranks_match_flat_oracle(self, k):

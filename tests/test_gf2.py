@@ -207,14 +207,14 @@ class TestLES:
             sd = g.random_complex(r, degrees=(0, 1, 2), max_dim=3)
             td = g.random_complex(r, degrees=(0, 1, 2), max_dim=3)
             f, _ = g.random_chain_map(r, sd, td)
-            les = g.les_of_cone(f)  # raises on any exactness failure
+            les = g.LongExactSequence(f)  # raises on any exactness failure
             hs, ht, hc = les.node_dims()
             # Euler characteristics of an exact triangle cancel.
             assert hc.euler() == ht.euler() - hs.euler()
 
     def test_les_isomorphism_gives_trivial_cone(self):
         cx, _, _ = g.random_complex(rng(1))
-        les = g.les_of_cone(g.identity_map(cx))
+        les = g.LongExactSequence(g.identity_map(cx))
         assert les.node_dims()[2].total() == 0
 
 

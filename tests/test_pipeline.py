@@ -8,6 +8,21 @@ from twistcheck import scenarios as sc
 from twistcheck import surface as sf
 
 
+@pytest.fixture
+def cut_surfaces(monkeypatch):
+    """The surface of every cut_along call, in call order."""
+    seen = []
+    real = sf.cut_along
+
+    def recording(surface, curves):
+        seen.append(surface)
+        return real(surface, curves)
+
+    monkeypatch.setattr(sf, "cut_along", recording)
+    monkeypatch.setattr(fl, "cut_along", recording)
+    return seen
+
+
 def all_corpus():
     scens = [b() for b in sc.BUILDERS.values()]
     scens.append(sc.genus2_scenario(component_preserving=True))
@@ -241,3 +256,29 @@ class TestSubdivisionInvariance:
         refined = sc.TwistScenario(new, "refined", s2)
         dims, _ = pl.hf_inverse_twist(refined)
         assert dims.dims == {0: 2, 1: 4}
+
+
+class TestOneCut:
+    def test_hf_cuts_once(self, cut_surfaces):
+        for scen in all_corpus():
+            cut_surfaces.clear()
+            pl.hf_inverse_twist(scen)
+            assert len(cut_surfaces) == 1, scen.description
+            assert cut_surfaces[0] is scen.surface
+
+    def test_theorem_a_cuts_once(self, cut_surfaces):
+        for scen in all_corpus():
+            if scen.involution is None:
+                continue
+            cut_surfaces.clear()
+            assert pl.verify_theorem_A(scen).passed
+            assert len(cut_surfaces) == 1, scen.description
+            assert cut_surfaces[0] is scen.surface
+
+    @pytest.mark.parametrize("k", [5, -5])
+    def test_les_check_cuts_only_the_input_surface(self, cut_surfaces, k):
+        scen = sc.torus_les_scenario()
+        scen.twist_power = k
+        assert pl.les_rank_check(scen).passed
+        assert 1 <= len(cut_surfaces) <= 4
+        assert all(s is scen.surface for s in cut_surfaces)

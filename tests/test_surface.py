@@ -158,20 +158,20 @@ class TestCurveValidation:
 class TestInvolution:
     def test_genus2_swap_valid(self):
         scen = sc.genus2_scenario()
-        ok, diag = sf.validate_involution(scen.surface, scen.involution)
-        assert ok, diag
+        diag = scen.involution.diagnostics()
+        assert not diag, diag
 
     def test_identity_rejected(self):
         s = sf.Surface([["a", "b", "a'", "b'"]])
         ident = sf.Involution.from_cycles(s, [])
-        ok, diag = sf.validate_involution(s, ident)
-        assert not ok and any("orientation" in d for d in diag)
+        diag = ident.diagnostics()
+        assert any("orientation" in d for d in diag)
 
     def test_quarter_rotation_rejected(self):
         s = sf.Surface([["a", "b", "a'", "b'"]])
         rot = sf.Involution.from_cycles(s, [["a", "b", "a'", "b'"]])
-        ok, diag = sf.validate_involution(s, rot)
-        assert not ok and any("order" in d for d in diag)
+        diag = rot.diagnostics()
+        assert any("order" in d for d in diag)
 
     def test_corpus_involutions_valid(self):
         for scen in (sc.torus_scenario(), sc.genus2_scenario(),
@@ -182,28 +182,28 @@ class TestInvolution:
 
     def test_swap_induced_degree0(self):
         scen = sc.genus2_scenario()
-        ind, _ = sf.involution_induced_map(scen.surface, scen.s_curve,
-                                           scen.involution)
+        ind = sf.involution_induced_map(
+            sf.cut_along(scen.surface, [scen.s_curve]), scen.involution)
         assert (ind[0] == g.gf2([[0, 1], [1, 0]])).all()
 
     def test_component_preserving_degree0(self):
         scen = sc.genus2_scenario(component_preserving=True)
-        ind, _ = sf.involution_induced_map(scen.surface, scen.s_curve,
-                                           scen.involution)
+        ind = sf.involution_induced_map(
+            sf.cut_along(scen.surface, [scen.s_curve]), scen.involution)
         assert (ind[0] == g.eye(2)).all()
 
     def test_torus_degree0(self):
         scen = sc.torus_scenario()
-        ind, _ = sf.involution_induced_map(scen.surface, scen.s_curve,
-                                           scen.involution)
+        ind = sf.involution_induced_map(
+            sf.cut_along(scen.surface, [scen.s_curve]), scen.involution)
         assert (ind[0] == g.eye(1)).all()
 
     def test_induced_squares_to_identity(self):
         for scen in (sc.torus_scenario(), sc.genus2_scenario(),
                      sc.genus2_scenario(component_preserving=True),
                      sc.genus3_scenario()):
-            ind, _ = sf.involution_induced_map(scen.surface, scen.s_curve,
-                                               scen.involution)
+            ind = sf.involution_induced_map(
+                sf.cut_along(scen.surface, [scen.s_curve]), scen.involution)
             for k, m in ind.items():
                 assert (g.matmul(m, m) == g.eye(m.shape[0])).all(), \
                     (scen.description, k)
@@ -211,5 +211,6 @@ class TestInvolution:
     def test_curve_not_preserved_rejected(self):
         scen = sc.genus2_scenario()
         with pytest.raises(sf.InvolutionError):
-            sf.involution_induced_map(scen.surface, scen.curve("beta1"),
-                                      scen.involution)
+            sf.involution_induced_map(
+                sf.cut_along(scen.surface, [scen.curve("beta1")]),
+                scen.involution)
