@@ -5,6 +5,11 @@ Each case runs one CLI verb on a built-in scenario with
 under tests/golden/.  A refactor or optimisation must leave every file
 unchanged.  After an intended report change, rewrite the files with
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
+
+The verify-model cases pin every floating-point operation of the model
+verifiers: a structured report prints each residual at full precision.
+Their sample count spans more than one evaluation block of
+twistcheck.modelgeo, ending in a partial block.
 """
 
 from __future__ import annotations
@@ -33,6 +38,14 @@ CASES = ([(verb, name, n)
             for verb in ("les-check", "twist")
             for name in ("genus2-crossing", "torus-les")])
 
+# verify-model cases: (kind, dim, extra flags, exit status).  An admissible
+# profile has nu(0) = lambda < pi, so its twist does not approach the
+# antipode along rays: the twist verdict fails, and the report pins that.
+MODEL_CASES = ([(kind, dim, (), 0) for kind in ("id", "r") for dim in (2, 3)]
+               + [("r", 3, ("--lambda", "1.0"), 1)])
+MODEL_SAMPLES = 20000
+MODEL_SEED = 7
+
 
 def golden_path(verb: str, name: str, subdivide: int) -> pathlib.Path:
     return GOLDEN / f"{verb}--{name}--s{subdivide}.json"
@@ -43,6 +56,19 @@ def write_report(verb: str, name: str, subdivide: int, out) -> int:
                      "--format", "structured", "--out", str(out)])
 
 
+def model_golden_path(kind: str, dim: int, extra) -> pathlib.Path:
+    tail = "".join(f"--{flag.lstrip('-')}{value}"
+                   for flag, value in zip(extra[::2], extra[1::2]))
+    return GOLDEN / f"verify-model--{kind}--d{dim}{tail}.json"
+
+
+def write_model_report(kind: str, dim: int, extra, out) -> int:
+    return cli.main(["verify-model", "--check", "all", "--kind", kind,
+                     "--dim", str(dim), "--samples", str(MODEL_SAMPLES),
+                     "--seed", str(MODEL_SEED), *extra,
+                     "--format", "structured", "--out", str(out)])
+
+
 @pytest.mark.parametrize("verb,name,subdivide", CASES)
 def test_report_bytes_unchanged(verb, name, subdivide, tmp_path):
     out = tmp_path / "report.json"
@@ -50,8 +76,18 @@ def test_report_bytes_unchanged(verb, name, subdivide, tmp_path):
     assert out.read_bytes() == golden_path(verb, name, subdivide).read_bytes()
 
 
+@pytest.mark.parametrize("kind,dim,extra,status", MODEL_CASES)
+def test_model_report_bytes_unchanged(kind, dim, extra, status, tmp_path):
+    out = tmp_path / "report.json"
+    assert write_model_report(kind, dim, extra, out) == status
+    assert out.read_bytes() == model_golden_path(kind, dim, extra).read_bytes()
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for case in CASES:
         if write_report(*case, golden_path(*case)) != 0:
             sys.exit(f"no passing report for {case}")
+    for *case, status in MODEL_CASES:
+        if write_model_report(*case, model_golden_path(*case)) != status:
+            sys.exit(f"unexpected exit status for verify-model {case}")
