@@ -114,7 +114,7 @@ def _run_cut(scenario, args) -> VerificationReport:
 
 
 def _run_twist(scenario, args) -> VerificationReport:
-    pl.cut_along_s(scenario)  # rejects a contractible S
+    pl.cut_along_s(scenario)  # rejects a contractible S before the twist
     table = dict(scenario.curves)
     for c in (scenario.s_curve, scenario.q_curve, scenario.n_curve):
         if c is not None and c.name:
@@ -131,8 +131,8 @@ def _run_twist(scenario, args) -> VerificationReport:
         raise CliError(f"unknown curve {name!r}; available: "
                        + ", ".join(sorted(table)))
     k = args.power if args.power is not None else scenario.twist_power
-    out = fl.dehn_twist(scenario.surface, scenario.s_curve, k,
-                        twist=[target])
+    out = fl._dehn_twist(scenario.surface, scenario.s_curve, k, [target],
+                         [])
     return VerificationReport(
         f"dehn twist tau^{k}", scenario.description,
         data={"curve": list(target.symbols()),
@@ -159,6 +159,8 @@ def _model_profile(args) -> mg.ProfileFunction:
 
 
 def _run_model(args) -> VerificationReport:
+    if args.samples < 1:
+        raise CliError("--samples must be at least 1")
     checks = MODEL_CHECKS if args.check == "all" else (args.check,)
     nu = _model_profile(args)
     reports = []

@@ -24,9 +24,13 @@ Provided here:
   * the Moser-style fiber rescaling of a map fixing the zero section.
 
 All verifiers draw reproducible samples from a seeded generator and
-return a ResidualReport with per-identity maximum residuals.  The
-evaluators are pure; residual aggregation is a plain max-reduce, so
-sample batches may be processed in any order or in parallel.
+return a ResidualReport with per-identity maximum residuals.  Each
+verifier draws its whole sample batch first, in a fixed order, and then
+evaluates it in blocks of _BLOCK_ROWS rows, keeping the per-identity max
+over blocks (_blockwise_max).  The evaluators are pure and act row by
+row, and a max-reduce does not depend on how the rows are grouped, so
+the block size changes no residual, not even in its last bit; it only
+bounds the temporaries, which no longer grow with the sample count.
 """
 
 from __future__ import annotations
@@ -64,6 +68,9 @@ __all__ = [
 KINDS = ("id", "r")
 
 _QP_TOL = 1e-12
+
+# rows per evaluation block of the verifiers
+_BLOCK_ROWS = 8192
 
 
 class ModelError(ValueError):
@@ -116,6 +123,8 @@ def random_batch(dim: int, count: int, rng: np.random.Generator,
     """
     if dim < 1:
         raise ModelError("dim must be at least 1")
+    if count < 1:
+        raise ModelError("sample count must be at least 1")
     q = rng.normal(size=(count, dim + 1))
     q /= np.linalg.norm(q, axis=1, keepdims=True)
     v = rng.normal(size=(count, dim + 1))
@@ -144,6 +153,18 @@ def _batch_dist(qa, pa, qb, pb) -> np.ndarray:
     """Rowwise max-abs distance between two sample batches."""
     return np.maximum(np.max(np.abs(qa - qb), axis=1),
                       np.max(np.abs(pa - pb), axis=1))
+
+
+def _blockwise_max(body: Callable[[slice], Dict[str, float]],
+                   rows: int) -> Dict[str, float]:
+    """Per-key max of the residual dicts body(block) over consecutive
+    blocks of _BLOCK_ROWS rows; a NaN residual stays NaN."""
+    out: Dict[str, float] = {}
+    for start in range(0, rows, _BLOCK_ROWS):
+        block = slice(start, min(start + _BLOCK_ROWS, rows))
+        for key, value in body(block).items():
+            out[key] = float(np.maximum(out.get(key, value), value))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -404,19 +425,22 @@ def verify_lemma_identities(kind: str, dim: int, samples: int = 10000,
     q, p = random_batch(dim, samples, rng, 0.05, 2.5)
     s = rng.uniform(1e-3, np.pi - 1e-3, size=samples)
 
-    qa, pa = _flow(q, -p, s)                 # psi_s(-xi)
-    qz, pz = _c0(qa, -pa, kind)              # zeta = c(-psi_s(-xi))
-    qb, pb = _flow(qz, -pz, s)               # psi_s(-zeta)
-    qr, pr = qb, -pb                         # -psi_s(-zeta)
-    ql, pl = _c0(q, p, kind)                 # c(xi)
+    def block(b):
+        qa, pa = _flow(q[b], -p[b], s[b])       # psi_s(-xi)
+        qz, pz = _c0(qa, -pa, kind)              # zeta = c(-psi_s(-xi))
+        qb, pb = _flow(qz, -pz, s[b])            # psi_s(-zeta)
+        qr, pr = qb, -pb                         # -psi_s(-zeta)
+        ql, pl = _c0(q[b], p[b], kind)           # c(xi)
+        return {
+            "conjugation": float(np.max(_batch_dist(ql, pl, qr, pr))),
+            "norm": float(np.max(np.abs(np.linalg.norm(pz, axis=1)
+                                        - np.linalg.norm(p[b], axis=1)))),
+        }
 
-    res1 = float(np.max(_batch_dist(ql, pl, qr, pr)))
-    res2 = float(np.max(np.abs(np.linalg.norm(pz, axis=1)
-                               - np.linalg.norm(p, axis=1))))
     return ResidualReport(
         name="lemma-identities",
         samples=samples,
-        residuals={"conjugation": res1, "norm": res2},
+        residuals=_blockwise_max(block, samples),
         tolerance=tolerance,
         details={"kind": kind, "dim": dim, "seed": seed},
     )
@@ -508,28 +532,32 @@ def verify_handle_symmetry(kind: str, nu: ProfileFunction, dim: int,
     p[: samples // 5] = 0.0
     qq = rng.uniform(-2.0, 2.0, size=samples)
 
-    q1, p1, q2, p2, z = _handle_batch(q, pf, p, qq, nu)
+    def block(b):
+        q1, p1, q2, p2, z = _handle_batch(q[b], pf[b], p[b], qq[b], nu)
 
-    # Phi(alpha)
-    qA, pA = _c0(q2, -p2, kind)
-    qB, pB = _c0(q1, p1, kind)
-    pB = -pB
+        # Phi(alpha)
+        qA, pA = _c0(q2, -p2, kind)
+        qB, pB = _c0(q1, p1, kind)
+        pB = -pB
 
-    # handle point of (zeta, p, q)
-    rho = np.sqrt(n ** 2 + p ** 2)
-    s = nu(rho) * n / rho
-    qs, ps = _flow(q, -pf, s)
-    qz, pz = _c0(qs, -ps, kind)             # zeta
-    norm_res = float(np.max(np.abs(np.linalg.norm(pz, axis=1) - n)))
-    r1, s1, r2, s2, z2 = _handle_batch(qz, pz, p, qq, nu)
+        # handle point of (zeta, p, q)
+        rho = np.sqrt(n[b] ** 2 + p[b] ** 2)
+        s = nu(rho) * n[b] / rho
+        qs, ps = _flow(q[b], -pf[b], s)
+        qz, pz = _c0(qs, -ps, kind)             # zeta
+        r1, s1, r2, s2, z2 = _handle_batch(qz, pz, p[b], qq[b], nu)
+        return {
+            "triple": float(np.max(np.maximum(
+                _batch_dist(qA, pA, r1, s1), _batch_dist(qB, pB, r2, s2)))),
+            "z": float(np.max(np.abs(z - z2))),
+            "norm": float(np.max(np.abs(np.linalg.norm(pz, axis=1)
+                                        - n[b]))),
+        }
 
-    res = float(np.max(np.maximum(_batch_dist(qA, pA, r1, s1),
-                                  _batch_dist(qB, pB, r2, s2))))
-    zres = float(np.max(np.abs(z - z2)))
     return ResidualReport(
         name="handle-symmetry",
         samples=samples,
-        residuals={"triple": res, "z": zres, "norm": norm_res},
+        residuals=_blockwise_max(block, samples),
         tolerance=tolerance,
         details={"kind": kind, "dim": dim, "seed": seed,
                  "epsilon": nu.epsilon},
@@ -781,15 +809,14 @@ def _chart_jacobian(u: np.ndarray, s: np.ndarray) -> np.ndarray:
     return jac
 
 
-def _from_chart(u: np.ndarray, w: np.ndarray, s: np.ndarray):
+def _chart_base(u: np.ndarray, s: np.ndarray):
+    """Inverse chart at u: the base point q, the Jacobian and the fibre
+    scale m^2 / 4 (the chart is conformal: J^T J = (2/m)^2 I)."""
     m = 1.0 + np.sum(u * u, axis=1)
     q = np.empty((u.shape[0], u.shape[1] + 1))
     q[:, :-1] = 2.0 * u / m[:, None]
     q[:, -1] = s * (np.sum(u * u, axis=1) - 1.0) / m
-    jac = _chart_jacobian(u, s)
-    # the chart is conformal: J^T J = (2/m)^2 I
-    p = np.einsum("nkj,nj->nk", jac, w) * (m ** 2 / 4.0)[:, None]
-    return q, p
+    return q, _chart_jacobian(u, s), (m ** 2 / 4.0)[:, None]
 
 
 def _symplectic_residual(map_batch, q: np.ndarray, p: np.ndarray,
@@ -804,9 +831,12 @@ def _symplectic_residual(map_batch, q: np.ndarray, p: np.ndarray,
     s_out = _chart_pole(q_out)
     u0, w0 = _to_chart(q, p, s_in)
     x0 = np.concatenate([u0, w0], axis=1)
+    base0 = _chart_base(u0, s_in)
 
-    def evaluate(x):
-        qa, pa = _from_chart(x[:, :n], x[:, n:], s_in)
+    def evaluate(x, j):
+        # a step in a fibre coordinate (j >= n) keeps the base point
+        qa, jac, scale = base0 if j >= n else _chart_base(x[:, :n], s_in)
+        pa = np.einsum("nkj,nj->nk", jac, x[:, n:]) * scale
         qb, pb = map_batch(qa, pa)
         ub, wb = _to_chart(qb, pb, s_out)
         return np.concatenate([ub, wb], axis=1)
@@ -817,13 +847,18 @@ def _symplectic_residual(map_batch, q: np.ndarray, p: np.ndarray,
         xp[:, j] += step
         xm = x0.copy()
         xm[:, j] -= step
-        cols.append((evaluate(xp) - evaluate(xm)) / (2.0 * step))
+        cols.append((evaluate(xp, j) - evaluate(xm, j)) / (2.0 * step))
     jac = np.stack(cols, axis=2)           # (rows, d, d)
 
     jmat = np.zeros((d, d))
     jmat[:n, n:] = np.eye(n)
     jmat[n:, :n] = -np.eye(n)
-    m = np.einsum("nji,jk,nkl->nil", jac, jmat, jac)
+    # D^T J D summed over the d nonzero entries J[j, (j + n) % d] = +-1,
+    # in j order
+    m = np.zeros((rows, d, d))
+    for j in range(d):
+        k = (j + n) % d
+        m += jmat[j, k] * jac[:, j, :, None] * jac[:, k, None, :]
     return float(np.max(np.abs(m - target_sign * jmat)))
 
 
@@ -845,28 +880,35 @@ def verify_model_twist(nu: ProfileFunction, dim: int, samples: int = 10000,
     rng = np.random.default_rng(seed)
     e = nu.epsilon
     q, p = random_batch(dim, samples, rng, 0.02 * e, 0.95 * e)
-    q2, p2 = _twist(q, p, nu)
+    qf, pf = random_batch(dim, min(samples, 1024), rng, e, 3.0 * e)
+    qc, pc = random_batch(dim, 64, rng, 1.0, 1.0)
 
-    inv_res = max(
-        float(np.max(np.abs(np.linalg.norm(q2, axis=1) - 1.0))),
-        float(np.max(np.abs(np.sum(q2 * p2, axis=1)))),
-        float(np.max(np.abs(np.linalg.norm(p2, axis=1)
-                            - np.linalg.norm(p, axis=1)))),
-    )
+    def twist(a, b):
+        return _twist(a, b, nu)
+
+    def block(b):
+        q2, p2 = twist(q[b], p[b])
+        return {
+            "invariants": max(
+                float(np.max(np.abs(np.linalg.norm(q2, axis=1) - 1.0))),
+                float(np.max(np.abs(np.sum(q2 * p2, axis=1)))),
+                float(np.max(np.abs(np.linalg.norm(p2, axis=1)
+                                    - np.linalg.norm(p[b], axis=1)))),
+            ),
+            "symplectic": _symplectic_residual(twist, q[b], p[b], +1.0,
+                                               step=fd_step),
+        }
+
+    residuals = _blockwise_max(block, samples)
 
     qz = q[: min(samples, 256)]
     qz2, pz2 = _twist(qz, np.zeros_like(qz), nu)
     zero_res = max(float(np.max(np.abs(qz2 + qz))),
                    float(np.max(np.abs(pz2))))
 
-    qf, pf = random_batch(dim, min(samples, 1024), rng, e, 3.0 * e)
     qf2, pf2 = _twist(qf, pf, nu)
     ident_res = float(np.max(_batch_dist(qf, pf, qf2, pf2)))
 
-    sym_res = _symplectic_residual(
-        lambda a, b: _twist(a, b, nu), q, p, +1.0, step=fd_step)
-
-    qc, pc = random_batch(dim, 64, rng, 1.0, 1.0)
     cont = []
     for delta in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
         qd, pd = _twist(qc, delta * pc, nu)
@@ -880,10 +922,9 @@ def verify_model_twist(nu: ProfileFunction, dim: int, samples: int = 10000,
         name="model-twist",
         samples=samples,
         residuals={
-            "invariants": inv_res,
+            **residuals,
             "zero_section_antipode": zero_res,
             "identity_region": ident_res,
-            "symplectic": sym_res,
             "zero_section_continuity": cont[-1],
         },
         tolerance=tolerance,
@@ -916,33 +957,36 @@ def verify_involution_splitting(kind: str, nu: ProfileFunction, dim: int,
     def ctilde(a, b):
         return cmap(*_twist(a, b, nu))
 
-    qa, pa = ctilde(*ctilde(q, p))
-    invol_res = float(np.max(_batch_dist(qa, pa, q, p)))
-    # also on the zero section
+    def block(b):
+        qa, pa = ctilde(*ctilde(q[b], p[b]))
+        qc, pc = cmap(*_twist(*cmap(q[b], p[b]), nu))
+        qi, pi = _twist(q[b], p[b], nu, sign=-1.0)
+        return {
+            "involution": float(np.max(_batch_dist(qa, pa, q[b], p[b]))),
+            "conjugation": float(np.max(_batch_dist(qc, pc, qi, pi))),
+        }
+
+    def fd_block(b):
+        return {
+            "antisymplectic_c": _symplectic_residual(
+                cmap, q[b], p[b], -1.0, step=fd_step),
+            "antisymplectic_ctilde": _symplectic_residual(
+                ctilde, q[b], p[b], -1.0, step=fd_step),
+        }
+
+    residuals = _blockwise_max(block, samples)
+    residuals.update(_blockwise_max(fd_block, min(samples, 2048)))
+    # the involution also on the zero section
     qz = q[: min(samples, 256)]
     qb, pb = ctilde(*ctilde(qz, np.zeros_like(qz)))
-    invol_res = max(invol_res, float(np.max(np.abs(qb - qz))),
-                    float(np.max(np.abs(pb))))
-
-    qc, pc = cmap(*_twist(*cmap(q, p), nu))
-    qi, pi = _twist(q, p, nu, sign=-1.0)
-    conj_res = float(np.max(_batch_dist(qc, pc, qi, pi)))
-
-    fd_rows = min(samples, 2048)
-    anti_c = _symplectic_residual(cmap, q[:fd_rows], p[:fd_rows], -1.0,
-                                  step=fd_step)
-    anti_ct = _symplectic_residual(ctilde, q[:fd_rows], p[:fd_rows], -1.0,
-                                   step=fd_step)
+    residuals["involution"] = max(residuals["involution"],
+                                  float(np.max(np.abs(qb - qz))),
+                                  float(np.max(np.abs(pb))))
 
     return ResidualReport(
         name="involution-splitting",
         samples=samples,
-        residuals={
-            "involution": invol_res,
-            "conjugation": conj_res,
-            "antisymplectic_c": anti_c,
-            "antisymplectic_ctilde": anti_ct,
-        },
+        residuals=residuals,
         tolerance=tolerance,
         details={"kind": kind, "dim": dim, "seed": seed, "epsilon": e},
     )
@@ -952,30 +996,31 @@ def verify_involution_splitting(kind: str, nu: ProfileFunction, dim: int,
 # Moser rescaling
 
 
-def moser_rescale(psi: Callable[[CotangentSample], CotangentSample],
-                  t: float, dim: int, probe_seed: int = 0,
-                  probes: int = 32
-                  ) -> Callable[[CotangentSample], CotangentSample]:
+BatchMap = Callable[[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]
+
+
+def moser_rescale(psi: BatchMap, t: float, dim: int, probe_seed: int = 0,
+                  probes: int = 32) -> BatchMap:
     """The fiber-rescaled map psi_t(q, p) = (u(q, tp), v(q, tp) / t).
 
-    psi must fix the zero section pointwise; this is probed on random
-    base points and violations are rejected.  t = 1 returns psi itself;
-    as t -> 0+ the rescalings converge to the identity.
+    psi and the result are batch maps (Q, P) -> (Q, P) on arrays of shape
+    (rows, dim + 1).  psi must fix the zero section pointwise; this is
+    probed on a batch of random base points and violations are rejected.
+    t = 1 returns psi itself; as t -> 0+ the rescalings converge to the
+    identity.
     """
     if not 0.0 < t <= 1.0:
         raise ModelError("rescaling parameter must lie in (0, 1]")
-    rng = np.random.default_rng(probe_seed)
-    for _ in range(probes):
-        q, _ = random_batch(dim, 1, rng, 1.0, 1.0)
-        x = CotangentSample(q[0], np.zeros_like(q[0]))
-        y = psi(x)
-        if x.distance(y) > 1e-10:
-            raise ModelError("map does not fix the zero section")
+    q, _ = random_batch(dim, probes, np.random.default_rng(probe_seed),
+                        1.0, 1.0)
+    zero = np.zeros_like(q)
+    if np.max(_batch_dist(q, zero, *psi(q, zero))) > 1e-10:
+        raise ModelError("map does not fix the zero section")
     if t == 1.0:
         return psi
 
-    def rescaled(xi: CotangentSample) -> CotangentSample:
-        eta = psi(CotangentSample(xi.q, t * xi.p))
-        return CotangentSample(eta.q, eta.p / t)
+    def rescaled(q: np.ndarray, p: np.ndarray):
+        q2, p2 = psi(q, t * p)
+        return q2, p2 / t
 
     return rescaled

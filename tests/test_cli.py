@@ -1,6 +1,12 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
+
+import twistcheck
 
 from twistcheck import cli
 from twistcheck import report as rp
@@ -189,3 +195,31 @@ class TestVerifyModel:
                            "--lambda", "5.0")
         assert code == 2
         assert "lam" in err or "profile" in err
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_nonpositive_samples_rejected(self, capsys, count):
+        code, _, err = run(capsys, "verify-model", "--check", "lemma",
+                           "--samples", count)
+        assert code == 2
+        assert err == "twistcheck: error: --samples must be at least 1\n"
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="ru_maxrss is in KiB only on Linux")
+    def test_peak_memory_bounded(self):
+        # the child reports its own peak RSS; evaluating in row blocks
+        # keeps it far below the ~240 MiB that whole-batch Jacobians of
+        # 100k samples took
+        src = pathlib.Path(twistcheck.__file__).resolve().parents[1]
+        child = ("import os, resource\n"
+                 "from twistcheck import cli\n"
+                 "code = cli.main(['verify-model', '--check', 'all', "
+                 "'--dim', '3', '--samples', '100000', '--out', os.devnull])\n"
+                 "print(code, resource.getrusage(resource.RUSAGE_SELF)"
+                 ".ru_maxrss)\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", child], env=env,
+                             capture_output=True, text=True, check=True)
+        code, maxrss_kib = map(int, out.stdout.split())
+        assert code == 0
+        assert maxrss_kib / 1024 < 128

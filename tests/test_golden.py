@@ -76,7 +76,9 @@ def test_report_bytes_unchanged(verb, name, subdivide, tmp_path):
     assert out.read_bytes() == golden_path(verb, name, subdivide).read_bytes()
 
 
-@pytest.mark.parametrize("kind,dim,extra,status", MODEL_CASES)
+@pytest.mark.parametrize(
+    "kind,dim,extra,status", MODEL_CASES,
+    ids=[model_golden_path(*case[:3]).stem for case in MODEL_CASES])
 def test_model_report_bytes_unchanged(kind, dim, extra, status, tmp_path):
     out = tmp_path / "report.json"
     assert write_model_report(kind, dim, extra, out) == status

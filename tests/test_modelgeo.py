@@ -47,6 +47,12 @@ class TestSamples:
         norms = np.linalg.norm(p, axis=1)
         assert norms.min() >= 0.2 and norms.max() <= 1.5
 
+    def test_empty_batch_rejected(self, rng):
+        with pytest.raises(mg.ModelError):
+            mg.random_batch(2, 0, rng, 0.2, 1.5)
+        with pytest.raises(mg.ModelError):
+            mg.verify_lemma_identities("id", 2, samples=0)
+
 
 class TestProfiles:
     def test_dehn_exact_linear_head(self):
@@ -326,24 +332,25 @@ class TestSplitting:
 
 class TestMoser:
     def test_identity_fixed_point(self, rng):
-        ident = lambda xi: xi
+        ident = lambda q, p: (q, p)
         resc = mg.moser_rescale(ident, 0.25, dim=2)
-        s = mg.random_sample(2, rng)
-        assert resc(s).distance(s) < 1e-12
+        q, p = mg.random_batch(2, 1, rng, 0.1, 1.0)
+        q2, p2 = resc(q, p)
+        assert max(np.max(np.abs(q2 - q)), np.max(np.abs(p2 - p))) < 1e-12
 
     def test_t_one_returns_map(self):
-        ident = lambda xi: xi
+        ident = lambda q, p: (q, p)
         assert mg.moser_rescale(ident, 1.0, dim=2) is ident
 
     def test_invalid_t(self):
         with pytest.raises(mg.ModelError):
-            mg.moser_rescale(lambda xi: xi, 0.0, dim=2)
+            mg.moser_rescale(lambda q, p: (q, p), 0.0, dim=2)
 
     def test_zero_section_violation_rejected(self):
         rot = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
 
-        def psi(xi):
-            return mg.CotangentSample(rot @ xi.q, rot @ xi.p)
+        def psi(q, p):
+            return q @ rot.T, p @ rot.T
 
         with pytest.raises(mg.ModelError):
             mg.moser_rescale(psi, 0.5, dim=2)
@@ -358,19 +365,17 @@ class TestMoser:
             return (2 * r * (1.0 - mg.smooth_step(x))
                     - r ** 2 * mg.smooth_step_derivative(x) / big_r)
 
-        def psi(xi):
-            q, p = oracle_norm_hamiltonian_time1(
-                gprime, xi.q[None, :], xi.p[None, :])
-            return mg.CotangentSample(q[0], p[0])
+        def psi(q, p):
+            return oracle_norm_hamiltonian_time1(gprime, q, p)
 
-        s = mg.random_sample(2, rng, 0.4, 0.8)
+        q, p = mg.random_batch(2, 1, rng, 0.4, 0.8)
         images = []
         for t in (1e-1, 1e-2, 1e-3, 1e-4):
-            out = mg.moser_rescale(psi, t, dim=2)(s)
-            images.append(np.concatenate([out.q, out.p]))
+            q2, p2 = mg.moser_rescale(psi, t, dim=2)(q, p)
+            images.append(np.concatenate([q2[0], p2[0]]))
         # one Richardson sweep with step ratio 10 kills the O(t) term
         extrap = [(10 * b - a) / 9 for a, b in zip(images, images[1:])]
-        target = np.concatenate([s.q, s.p])
+        target = np.concatenate([q[0], p[0]])
         assert np.max(np.abs(extrap[-1] - target)) < 1e-6
         raw_err = np.max(np.abs(images[-1] - target))
         assert np.max(np.abs(extrap[-1] - target)) < raw_err

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from twistcheck import cli
 from twistcheck import floer as fl
 from twistcheck import pipeline as pl
 from twistcheck import report as rp
@@ -282,3 +283,8 @@ class TestOneCut:
         assert pl.les_rank_check(scen).passed
         assert 1 <= len(cut_surfaces) <= 4
         assert all(s is scen.surface for s in cut_surfaces)
+
+    def test_twist_verb_cuts_once(self, cut_surfaces, capsys):
+        assert cli.main(["twist", "torus-les"]) == 0
+        capsys.readouterr()
+        assert len(cut_surfaces) == 1
