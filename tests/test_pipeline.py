@@ -284,7 +284,6 @@ class TestOneCut:
         assert 1 <= len(cut_surfaces) <= 4
         assert all(s is scen.surface for s in cut_surfaces)
 
-    def test_twist_verb_cuts_once(self, cut_surfaces, capsys):
+    def test_twist_verb_cuts_once(self, cut_surfaces):
         assert cli.main(["twist", "torus-les"]) == 0
-        capsys.readouterr()
         assert len(cut_surfaces) == 1
