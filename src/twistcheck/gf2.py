@@ -184,6 +184,7 @@ class ChainComplex:
         self.mod2 = mod2
         self.d = {int(k): m2 for k, m in (differentials or {}).items()
                   if (m2 := gf2(m)).size}
+        self._homology = {}
         if check:
             ok, why = self.validate()
             if not ok:
@@ -242,14 +243,24 @@ class ChainComplex:
         read off the pivots of one elimination of [d_{k-1} | ker d_k]: a
         column is a pivot exactly when it is not in the span of the
         columns to its left.
+
+        The pair is computed once per degree and kept on the instance
+        (d and dims are fixed after construction); its arrays are
+        read-only.
         """
+        if k in self._homology:
+            return self._homology[k]
         dprev = self.diff(self.prev_deg(k))
         ker = kernel_basis(self.diff(k))
         _, pivots = rref(np.concatenate([dprev, ker], axis=1))
         pivots = np.array(pivots, dtype=int)
         n_prev = dprev.shape[1]
-        return (ker[:, pivots[pivots >= n_prev] - n_prev],
+        data = (ker[:, pivots[pivots >= n_prev] - n_prev],
                 dprev[:, pivots[pivots < n_prev]])
+        for a in data:
+            a.flags.writeable = False
+        self._homology[k] = data
+        return data
 
     def homology(self) -> GradedDims:
         return GradedDims({k: self.homology_data(k)[0].shape[1]

@@ -5,6 +5,11 @@ sphere S^n in R^{n+1}, identified with the tangent bundle through the
 metric: a point is a pair (q, p) with |q| = 1 and q . p = 0.  The norm
 of the covector is |p|.
 
+The API is batch-only: points are rows of batches (Q, P) of shape
+(rows, n+1), drawn by random_batch.  The kernels _flow, _twist, _c0 and
+_handle_batch stay private, so that tracing the public functions
+(perfbench/tracing.py) puts no span on every inner call.
+
 Provided here:
 
   * the normalized geodesic flow (Hamiltonian flow of xi -> |xi|) in
@@ -42,21 +47,13 @@ import numpy as np
 
 __all__ = [
     "ModelError",
-    "CotangentSample",
     "ProfileFunction",
-    "HandlePoint",
     "NormHamiltonian",
     "ResidualReport",
     "KINDS",
     "smooth_step",
     "smooth_step_derivative",
-    "geodesic_flow",
-    "model_dehn_twist",
-    "model_dehn_twist_inverse",
-    "c0_star",
-    "handle_point",
     "moser_rescale",
-    "random_sample",
     "random_batch",
     "verify_lemma_identities",
     "verify_handle_symmetry",
@@ -66,8 +63,6 @@ __all__ = [
 ]
 
 KINDS = ("id", "r")
-
-_QP_TOL = 1e-12
 
 # rows per evaluation block of the verifiers
 _BLOCK_ROWS = 8192
@@ -79,39 +74,6 @@ class ModelError(ValueError):
 
 # ---------------------------------------------------------------------------
 # samples
-
-
-@dataclass(frozen=True)
-class CotangentSample:
-    """A point of T*S^n: unit base q in R^{n+1} and fiber p with q.p = 0."""
-
-    q: np.ndarray
-    p: np.ndarray
-
-    def __post_init__(self):
-        q = np.asarray(self.q, dtype=float)
-        p = np.asarray(self.p, dtype=float)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "p", p)
-        if q.shape != p.shape or q.ndim != 1 or q.size < 2:
-            raise ModelError("q and p must be equal-length vectors in "
-                             "R^{n+1} with n >= 1")
-        if abs(np.linalg.norm(q) - 1.0) > _QP_TOL:
-            raise ModelError("base point is not on the unit sphere")
-        if abs(float(q @ p)) > _QP_TOL:
-            raise ModelError("fiber vector is not orthogonal to the base")
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.p))
-
-    def negated(self) -> "CotangentSample":
-        """Fiberwise negation -xi = (q, -p)."""
-        return CotangentSample(self.q, -self.p)
-
-    def distance(self, other: "CotangentSample") -> float:
-        return max(float(np.max(np.abs(self.q - other.q))),
-                   float(np.max(np.abs(self.p - other.p))))
 
 
 def random_batch(dim: int, count: int, rng: np.random.Generator,
@@ -142,13 +104,6 @@ def random_batch(dim: int, count: int, rng: np.random.Generator,
     return q, v * norms
 
 
-def random_sample(dim: int, rng: np.random.Generator,
-                  norm_low: float = 0.1,
-                  norm_high: float = 1.0) -> CotangentSample:
-    q, p = random_batch(dim, 1, rng, norm_low, norm_high)
-    return CotangentSample(q[0], p[0])
-
-
 def _batch_dist(qa, pa, qb, pb) -> np.ndarray:
     """Rowwise max-abs distance between two sample batches."""
     return np.maximum(np.max(np.abs(qa - qb), axis=1),
@@ -172,14 +127,13 @@ def _blockwise_max(body: Callable[[slice], Dict[str, float]],
 
 
 def _flow(q: np.ndarray, p: np.ndarray, t) -> Tuple[np.ndarray, np.ndarray]:
-    """Closed-form normalized geodesic flow on a batch (rows) or a single
-    sample (1d arrays).  t may be a scalar or a per-row array.
+    """Closed-form normalized geodesic flow (the Hamiltonian flow of
+    xi -> |xi|) on a batch: along the great circle spanned by q and p/|p|
+    at unit angular speed.  t may be a scalar or a per-row array.
 
     Rows on the zero section are only legal when the flow time there is
     exactly zero; they are returned unchanged.
     """
-    q = np.atleast_2d(np.asarray(q, dtype=float))
-    p = np.atleast_2d(np.asarray(p, dtype=float))
     t = np.broadcast_to(np.asarray(t, dtype=float), (q.shape[0],))
     norms = np.linalg.norm(p, axis=1)
     on_zero = norms == 0.0
@@ -194,18 +148,6 @@ def _flow(q: np.ndarray, p: np.ndarray, t) -> Tuple[np.ndarray, np.ndarray]:
     q2[on_zero] = q[on_zero]
     p2[on_zero] = p[on_zero]
     return q2, p2
-
-
-def geodesic_flow(xi: CotangentSample, t: float) -> CotangentSample:
-    """Flow xi for time t along the Hamiltonian flow of xi -> |xi|.
-
-    The flow moves along the great circle spanned by q and p/|p| at unit
-    angular speed and is undefined on the zero section.
-    """
-    if xi.norm == 0.0:
-        raise ModelError("geodesic flow is undefined on the zero section")
-    q2, p2 = _flow(xi.q, xi.p, float(t))
-    return CotangentSample(q2[0], p2[0])
 
 
 # ---------------------------------------------------------------------------
@@ -309,11 +251,13 @@ class ProfileFunction:
 
 def _twist(q: np.ndarray, p: np.ndarray, nu: ProfileFunction,
            sign: float = 1.0) -> Tuple[np.ndarray, np.ndarray]:
+    """The model Dehn twist: flow for time nu(|xi|), or -nu(|xi|) for the
+    inverse (sign = -1); antipode on the zero section; identity where nu
+    vanishes."""
     norms = np.linalg.norm(p, axis=1)
     t = sign * nu(norms)
     zero = norms == 0.0
-    q2 = q.copy()
-    p2 = p.copy()
+    q2, p2 = q.copy(), p.copy()
     move = (~zero) & (t != 0.0)
     if np.any(move):
         qm, pm = _flow(q[move], p[move], t[move])
@@ -321,21 +265,6 @@ def _twist(q: np.ndarray, p: np.ndarray, nu: ProfileFunction,
         p2[move] = pm
     q2[zero] = -q[zero]
     return q2, p2
-
-
-def model_dehn_twist(xi: CotangentSample,
-                     nu: ProfileFunction) -> CotangentSample:
-    """The model Dehn twist: flow for time nu(|xi|); antipode on the zero
-    section; identity where nu vanishes."""
-    q2, p2 = _twist(np.atleast_2d(xi.q), np.atleast_2d(xi.p), nu)
-    return CotangentSample(q2[0], p2[0])
-
-
-def model_dehn_twist_inverse(xi: CotangentSample,
-                             nu: ProfileFunction) -> CotangentSample:
-    """Inverse twist, realized by flowing for time -nu(|xi|)."""
-    q2, p2 = _twist(np.atleast_2d(xi.q), np.atleast_2d(xi.p), nu, sign=-1.0)
-    return CotangentSample(q2[0], p2[0])
 
 
 def _check_kind(kind: str):
@@ -346,24 +275,14 @@ def _check_kind(kind: str):
 
 def _c0(q: np.ndarray, p: np.ndarray, kind: str
         ) -> Tuple[np.ndarray, np.ndarray]:
-    if kind == "id":
-        return q.copy(), -p
-    q2 = q.copy()
-    p2 = -p
-    q2[:, 0] = -q2[:, 0]
-    p2[:, 0] = -p2[:, 0]
+    """The linear anti-symplectic involution c0*: kind "id" gives
+    (q, p) -> (q, -p); kind "r" composes with the reflection negating the
+    first coordinate of both q and p."""
+    q2, p2 = q.copy(), -p
+    if kind == "r":
+        q2[:, 0] = -q2[:, 0]
+        p2[:, 0] = -p2[:, 0]
     return q2, p2
-
-
-def c0_star(xi: CotangentSample, kind: str) -> CotangentSample:
-    """The linear anti-symplectic involution induced by c0 on the base.
-
-    kind "id" gives (q, p) -> (q, -p); kind "r" composes with the
-    reflection negating the first coordinate of both q and p.
-    """
-    _check_kind(kind)
-    q2, p2 = _c0(np.atleast_2d(xi.q), np.atleast_2d(xi.p), kind)
-    return CotangentSample(q2[0], p2[0])
 
 
 # ---------------------------------------------------------------------------
@@ -450,27 +369,12 @@ def verify_lemma_identities(kind: str, dim: int, samples: int = 10000,
 # handle points
 
 
-@dataclass(frozen=True)
-class HandlePoint:
-    """A point (xi1, xi2, z) of T*S^n x T*S^n x C."""
-
-    xi1: CotangentSample
-    xi2: CotangentSample
-    z: complex
-
-    def distance(self, other: "HandlePoint") -> float:
-        return max(self.xi1.distance(other.xi1),
-                   self.xi2.distance(other.xi2),
-                   abs(self.z - other.z))
-
-
 def _handle_batch(q: np.ndarray, pf: np.ndarray, p: np.ndarray,
                   qq: np.ndarray, nu: ProfileFunction):
-    """Batched handle parameterization.
-
-    (q, pf) is the sample batch xi, p and qq are the T*R coordinates.
-    Returns (q1, p1, q2, p2, z).
-    """
+    """Flow-handle points (xi, psi_s(-xi), (r + qq) - i p) for the batch
+    xi = (q, pf) and T*R coordinates (qq, p), with s = nu(rho) |xi| / rho,
+    r = nu(rho) |p| / rho, rho = sqrt(|xi|^2 + p^2) in (0, epsilon).
+    The first factor is xi itself; returns the others as (q2, p2, z)."""
     n = np.linalg.norm(pf, axis=1)
     rho = np.sqrt(n ** 2 + p ** 2)
     if np.any(rho == 0.0):
@@ -481,31 +385,14 @@ def _handle_batch(q: np.ndarray, pf: np.ndarray, p: np.ndarray,
     nv = nu(rho)
     s = nv * n / rho
     r = nv * np.abs(p) / rho
-    q2 = q.copy()
-    p2 = -pf
+    q2, p2 = q.copy(), -pf
     move = s != 0.0
     if np.any(move):
         qm, pm = _flow(q[move], -pf[move], s[move])
         q2[move] = qm
         p2[move] = pm
     z = (r + qq) - 1j * p
-    return q.copy(), pf.copy(), q2, p2, z
-
-
-def handle_point(xi: CotangentSample, p: float, q: float,
-                 nu: ProfileFunction) -> HandlePoint:
-    """The flow-handle point with parameters (xi, p, q).
-
-    The triple is (xi, psi_s(-xi), (r + q) - i p) with
-    s = nu(rho) |xi| / rho and r = nu(rho) |p| / rho for
-    rho = sqrt(|xi|^2 + p^2), under T*R = C via (q, p) -> q - i p.
-    Requires rho < epsilon and rho > 0.
-    """
-    q1, p1, q2, p2, z = _handle_batch(
-        np.atleast_2d(xi.q), np.atleast_2d(xi.p),
-        np.asarray([float(p)]), np.asarray([float(q)]), nu)
-    return HandlePoint(CotangentSample(q1[0], p1[0]),
-                       CotangentSample(q2[0], p2[0]), complex(z[0]))
+    return q2, p2, z
 
 
 def verify_handle_symmetry(kind: str, nu: ProfileFunction, dim: int,
@@ -533,11 +420,11 @@ def verify_handle_symmetry(kind: str, nu: ProfileFunction, dim: int,
     qq = rng.uniform(-2.0, 2.0, size=samples)
 
     def block(b):
-        q1, p1, q2, p2, z = _handle_batch(q[b], pf[b], p[b], qq[b], nu)
+        q2, p2, z = _handle_batch(q[b], pf[b], p[b], qq[b], nu)
 
-        # Phi(alpha)
+        # Phi(alpha); the first factor of alpha is xi
         qA, pA = _c0(q2, -p2, kind)
-        qB, pB = _c0(q1, p1, kind)
+        qB, pB = _c0(q[b], pf[b], kind)
         pB = -pB
 
         # handle point of (zeta, p, q)
@@ -545,10 +432,10 @@ def verify_handle_symmetry(kind: str, nu: ProfileFunction, dim: int,
         s = nu(rho) * n[b] / rho
         qs, ps = _flow(q[b], -pf[b], s)
         qz, pz = _c0(qs, -ps, kind)             # zeta
-        r1, s1, r2, s2, z2 = _handle_batch(qz, pz, p[b], qq[b], nu)
+        r2, s2, z2 = _handle_batch(qz, pz, p[b], qq[b], nu)
         return {
             "triple": float(np.max(np.maximum(
-                _batch_dist(qA, pA, r1, s1), _batch_dist(qB, pB, r2, s2)))),
+                _batch_dist(qA, pA, qz, pz), _batch_dist(qB, pB, r2, s2)))),
             "z": float(np.max(np.abs(z - z2))),
             "norm": float(np.max(np.abs(np.linalg.norm(pz, axis=1)
                                         - n[b]))),
@@ -625,57 +512,6 @@ class NormHamiltonian:
 
         return cls(value=value, d1=d1, d2=d2, label="bump*n2^2")
 
-    @classmethod
-    def from_pointwise(cls, fn: Callable, dim: int, seed: int = 0,
-                       trials: int = 64,
-                       label: str = "pointwise") -> "NormHamiltonian":
-        """Wrap a pointwise K(t, xi1, xi2) after checking that it depends
-        on the samples only through their fiber norms.
-
-        The check evaluates K on pairs of sample pairs with identical
-        norms but independent positions; any mismatch beyond 1e-9 is a
-        contract violation and is rejected.  Norm derivatives are taken
-        by central differences (step 1e-6).
-        """
-        rng = np.random.default_rng(seed)
-        for _ in range(trials):
-            t = float(rng.uniform(0.0, 1.0))
-            n1 = float(rng.uniform(0.05, 1.5))
-            n2 = float(rng.uniform(0.05, 1.5))
-            a1 = random_sample(dim, rng, n1, n1)
-            a2 = random_sample(dim, rng, n2, n2)
-            b1 = random_sample(dim, rng, n1, n1)
-            b2 = random_sample(dim, rng, n2, n2)
-            if abs(fn(t, a1, a2) - fn(t, b1, b2)) > 1e-9:
-                raise ModelError("interpolation Hamiltonian does not "
-                                 "depend only on the fiber norms")
-
-        def canonical(dim, n):
-            q = np.zeros(dim + 1)
-            q[0] = 1.0
-            p = np.zeros(dim + 1)
-            p[1] = n
-            return CotangentSample(q, p)
-
-        def value(t, n1, n2):
-            n1 = np.atleast_1d(np.asarray(n1, dtype=float))
-            n2 = np.atleast_1d(np.asarray(n2, dtype=float))
-            out = np.array([fn(t, canonical(dim, a), canonical(dim, b))
-                            for a, b in zip(n1, n2)])
-            return out if out.size > 1 else out[0]
-
-        h = 1e-6
-
-        def d1(t, n1, n2):
-            return (value(t, np.asarray(n1) + h, n2)
-                    - value(t, np.asarray(n1) - h, n2)) / (2 * h)
-
-        def d2(t, n1, n2):
-            return (value(t, n1, np.asarray(n2) + h)
-                    - value(t, n1, np.asarray(n2) - h)) / (2 * h)
-
-        return cls(value=value, d1=d1, d2=d2, label=label)
-
 
 def _suspension_flow(q: np.ndarray, pf: np.ndarray, t: float,
                      nu0: ProfileFunction, K: NormHamiltonian):
@@ -731,47 +567,51 @@ def verify_suspension_symmetry(kind: str, nu0: ProfileFunction,
         raise ModelError("interpolation Hamiltonian must vanish at the "
                          "endpoints t = 0 and t = 1")
 
+    if samples < 1:
+        raise ModelError("sample count must be at least 1")
     t_values = rng.uniform(0.0, 1.0, size=t_chunks)
     t_values[0] = 0.0
     t_values[1] = 1.0
-    chunk = max(1, samples // t_chunks)
 
-    worst = 0.0
-    worst_z = 0.0
-    total = 0
-    for t in t_values:
-        q, pf = random_batch(dim, chunk, rng, 0.02 * e, 0.90 * e)
-        total += chunk
-        n = np.linalg.norm(pf, axis=1)
-        q1, p1, q2, p2, a, b = flow(q, pf, float(t), nu0, K)
-        n1 = np.linalg.norm(p1, axis=1)
-        n2 = np.linalg.norm(p2, axis=1)
-        z = t - 1j * np.asarray(K.value(float(t), n1, n2), dtype=float)
+    residuals = {"triple": 0.0, "z": 0.0}
+    for i, t in enumerate(t_values):
+        # split the samples as evenly as possible over the time slices
+        rows = samples // t_chunks + (i < samples % t_chunks)
+        if rows == 0:
+            continue
+        q, pf = random_batch(dim, rows, rng, 0.02 * e, 0.90 * e)
 
-        # Phi of the suspension point
-        qA, pA = _c0(q2, -p2, kind)
-        qB, pB = _c0(q1, p1, kind)
-        pB = -pB
+        def block(blk):
+            n = np.linalg.norm(pf[blk], axis=1)
+            q1, p1, q2, p2, a, b = flow(q[blk], pf[blk], float(t), nu0, K)
+            n1 = np.linalg.norm(p1, axis=1)
+            n2 = np.linalg.norm(p2, axis=1)
+            z = t - 1j * np.asarray(K.value(float(t), n1, n2), dtype=float)
+            # Phi of the suspension point
+            qA, pA = _c0(q2, -p2, kind)
+            qB, pB = _c0(q1, p1, kind)
+            pB = -pB
+            # the corresponding slice point: zeta and its partner
+            s_tot = nu0(n) + a + b
+            qs, ps = _flow(q1, -p1, s_tot)       # psi_{nu0+a+b}(-xi_1)
+            qz, pz = _c0(qs, -ps, kind)          # zeta
+            qw, pw = _flow(qz, -pz, s_tot)       # psi_{nu0+a+b}(-zeta)
+            nz = np.linalg.norm(pz, axis=1)
+            zb = t - 1j * np.asarray(K.value(float(t), nz, nz), dtype=float)
+            z_res = np.abs(z - zb)
+            if t in (0.0, 1.0):
+                z_res = np.maximum(z_res, np.abs(z.imag))
+            return {"z": float(np.max(z_res)), "triple": float(np.max(
+                np.maximum(_batch_dist(qA, pA, qz, pz),
+                           _batch_dist(qB, pB, qw, pw))))}
 
-        # the corresponding slice point: zeta and its partner
-        s_tot = nu0(n) + a + b
-        qs, ps = _flow(q1, -p1, s_tot)       # psi_{nu0+a+b}(-xi_1)
-        qz, pz = _c0(qs, -ps, kind)          # zeta
-        qw, pw = _flow(qz, -pz, s_tot)       # psi_{nu0+a+b}(-zeta)
-        nz = np.linalg.norm(pz, axis=1)
-        zb = t - 1j * np.asarray(K.value(float(t), nz, nz), dtype=float)
-
-        worst = max(worst,
-                    float(np.max(_batch_dist(qA, pA, qz, pz))),
-                    float(np.max(_batch_dist(qB, pB, qw, pw))))
-        worst_z = max(worst_z, float(np.max(np.abs(z - zb))))
-        if t in (0.0, 1.0):
-            worst_z = max(worst_z, float(np.max(np.abs(z.imag))))
+        for key, value in _blockwise_max(block, rows).items():
+            residuals[key] = max(residuals[key], value)
 
     return ResidualReport(
         name="suspension-symmetry",
-        samples=total,
-        residuals={"triple": worst, "z": worst_z},
+        samples=samples,
+        residuals=residuals,
         tolerance=tolerance,
         details={"kind": kind, "dim": dim, "seed": seed,
                  "hamiltonian": K.label},
@@ -820,14 +660,16 @@ def _chart_base(u: np.ndarray, s: np.ndarray):
 
 
 def _symplectic_residual(map_batch, q: np.ndarray, p: np.ndarray,
-                         target_sign: float, step: float = 1e-5) -> float:
+                         q_out: np.ndarray, target_sign: float,
+                         step: float = 1e-5) -> float:
     """Max-norm residual of D^T J D - target_sign * J for the map in
-    stereographic cotangent charts, with central-difference Jacobians."""
+    stereographic cotangent charts, with central-difference Jacobians.
+    q_out is the base of the image map_batch(q, p), which picks the
+    output chart; the callers have it at hand already."""
     rows, n1 = q.shape
     n = n1 - 1
     d = 2 * n
     s_in = _chart_pole(q)
-    q_out, p_out = map_batch(q, p)
     s_out = _chart_pole(q_out)
     u0, w0 = _to_chart(q, p, s_in)
     x0 = np.concatenate([u0, w0], axis=1)
@@ -895,7 +737,7 @@ def verify_model_twist(nu: ProfileFunction, dim: int, samples: int = 10000,
                 float(np.max(np.abs(np.linalg.norm(p2, axis=1)
                                     - np.linalg.norm(p[b], axis=1)))),
             ),
-            "symplectic": _symplectic_residual(twist, q[b], p[b], +1.0,
+            "symplectic": _symplectic_residual(twist, q[b], p[b], q2, +1.0,
                                                step=fd_step),
         }
 
@@ -967,11 +809,13 @@ def verify_involution_splitting(kind: str, nu: ProfileFunction, dim: int,
         }
 
     def fd_block(b):
+        qc, _ = cmap(q[b], p[b])
+        qt, _ = ctilde(q[b], p[b])
         return {
             "antisymplectic_c": _symplectic_residual(
-                cmap, q[b], p[b], -1.0, step=fd_step),
+                cmap, q[b], p[b], qc, -1.0, step=fd_step),
             "antisymplectic_ctilde": _symplectic_residual(
-                ctilde, q[b], p[b], -1.0, step=fd_step),
+                ctilde, q[b], p[b], qt, -1.0, step=fd_step),
         }
 
     residuals = _blockwise_max(block, samples)

@@ -203,6 +203,16 @@ class TestVerifyModel:
         assert code == 2
         assert err == "twistcheck: error: --samples must be at least 1\n"
 
+    @pytest.mark.parametrize("count", [5, 1039])
+    def test_suspension_reports_requested_samples(self, capsys, count):
+        # the samples are split over 20 time slices, not rounded to a
+        # multiple of 20
+        code, out, _ = run(capsys, "verify-model", "--check", "suspension",
+                           "--dim", "1", "--samples", str(count),
+                           "--format", "structured")
+        assert code == 0
+        assert json.loads(out)["residuals"][0]["samples"] == count
+
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="ru_maxrss is in KiB only on Linux")
     def test_peak_memory_bounded(self):

@@ -93,6 +93,13 @@ class TestComplex:
         cx = g.ChainComplex({0: 2, 1: 2}, {0: [[1, 1], [0, 0]]}, mod2=True)
         assert cx.homology().dims == {0: 1, 1: 1}
 
+    def test_homology_data_kept_and_read_only(self):
+        cx, _, _ = g.random_complex(rng(11))
+        for k in cx.degrees():
+            first = cx.homology_data(k)
+            assert cx.homology_data(k) is first
+            assert not any(a.flags.writeable for a in first)
+
     def test_euler_equals_homology_euler(self):
         r = rng(9)
         for _ in range(25):

@@ -7,8 +7,14 @@ from oracles import (oracle_geodesic_flow, oracle_norm_hamiltonian_time1,
                      oracle_suspension_flow)
 
 
-def sample(q, p):
-    return mg.CotangentSample(np.asarray(q, float), np.asarray(p, float))
+def batch(q, p):
+    """The 1-row batch (Q, P) holding the point (q, p)."""
+    return np.asarray(q, float)[None, :], np.asarray(p, float)[None, :]
+
+
+def dist(a, b):
+    """Max-abs distance between two batches (Q, P)."""
+    return float(np.max(mg._batch_dist(*a, *b)))
 
 
 def unit(i, dim=3):
@@ -23,23 +29,6 @@ def rng():
 
 
 class TestSamples:
-    def test_valid(self):
-        s = sample(unit(0), 0.7 * unit(1))
-        assert s.norm == pytest.approx(0.7)
-
-    def test_off_sphere_rejected(self):
-        with pytest.raises(mg.ModelError):
-            sample(1.1 * unit(0), unit(1))
-
-    def test_non_orthogonal_rejected(self):
-        with pytest.raises(mg.ModelError):
-            sample(unit(0), unit(0) + unit(1))
-
-    def test_negation_is_fiberwise(self):
-        s = sample(unit(0), 0.5 * unit(1))
-        m = s.negated()
-        assert np.allclose(m.q, s.q) and np.allclose(m.p, -s.p)
-
     def test_random_batch_invariants(self, rng):
         q, p = mg.random_batch(2, 500, rng, 0.2, 1.5)
         assert np.max(np.abs(np.linalg.norm(q, axis=1) - 1)) < 1e-12
@@ -110,18 +99,18 @@ class TestProfiles:
 
 class TestGeodesicFlow:
     def test_quarter_great_circle(self):
-        out = mg.geodesic_flow(sample(unit(0), unit(1)), np.pi / 2)
-        assert np.allclose(out.q, unit(1), atol=1e-15)
-        assert np.allclose(out.p, -unit(0), atol=1e-15)
+        q, p = mg._flow(*batch(unit(0), unit(1)), np.pi / 2)
+        assert np.allclose(q[0], unit(1), atol=1e-15)
+        assert np.allclose(p[0], -unit(0), atol=1e-15)
 
     def test_periodicity(self, rng):
-        s = mg.random_sample(2, rng)
-        out = mg.geodesic_flow(s, 2 * np.pi)
-        assert s.distance(out) < 1e-12
+        s = mg.random_batch(2, 1, rng, 0.1, 1.0)
+        out = mg._flow(*s, 2 * np.pi)
+        assert dist(s, out) < 1e-12
 
     def test_zero_section_rejected(self):
         with pytest.raises(mg.ModelError):
-            mg.geodesic_flow(sample(unit(0), np.zeros(3)), 0.3)
+            mg._flow(*batch(unit(0), np.zeros(3)), 0.3)
 
     def test_matches_rk4_oracle(self, rng):
         for dim in (1, 2):
@@ -156,33 +145,48 @@ class TestModelTwist:
         self.nu = mg.ProfileFunction("dehn", epsilon=0.5)
 
     def test_zero_section_antipode_exact(self):
-        s = sample(unit(2), np.zeros(3))
-        out = mg.model_dehn_twist(s, self.nu)
-        assert np.array_equal(out.q, -s.q)
-        assert np.array_equal(out.p, s.p)
+        q, p = batch(unit(2), np.zeros(3))
+        q2, p2 = mg._twist(q, p, self.nu)
+        assert np.array_equal(q2, -q)
+        assert np.array_equal(p2, p)
 
     def test_identity_outside_support(self):
-        s = sample(unit(0), 0.6 * unit(1))
-        out = mg.model_dehn_twist(s, self.nu)
-        assert s.distance(out) == 0.0
+        s = batch(unit(0), 0.6 * unit(1))
+        out = mg._twist(*s, self.nu)
+        assert dist(s, out) == 0.0
 
     def test_continuity_across_zero_section(self):
         prev = None
         for delta in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
-            s = sample(unit(0), delta * unit(1))
-            out = mg.model_dehn_twist(s, self.nu)
-            resid = max(np.max(np.abs(out.q + unit(0))),
-                        np.max(np.abs(out.p)))
+            q, p = mg._twist(*batch(unit(0), delta * unit(1)), self.nu)
+            resid = max(np.max(np.abs(q[0] + unit(0))),
+                        np.max(np.abs(p[0])))
             if prev is not None:
                 assert resid < prev
             prev = resid
         assert prev < 1e-5
 
     def test_inverse_round_trip(self, rng):
-        s = mg.random_sample(2, rng, 0.05, 0.45)
-        out = mg.model_dehn_twist_inverse(mg.model_dehn_twist(s, self.nu),
-                                          self.nu)
-        assert s.distance(out) < 1e-12
+        s = mg.random_batch(2, 1, rng, 0.05, 0.45)
+        out = mg._twist(*mg._twist(*s, self.nu), self.nu, sign=-1.0)
+        assert dist(s, out) < 1e-12
+
+    def test_one_twist_per_block_for_invariants_and_chart(self, monkeypatch):
+        # the symplectic residual reads its output chart off the twist the
+        # block computed for the invariants: 1 + 2 * 4 chart differences
+        # in T*S^2, then 1 zero-section, 1 identity-region and 5
+        # continuity twists
+        calls = []
+        twist = mg._twist
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return twist(*args, **kwargs)
+
+        monkeypatch.setattr(mg, "_twist", counted)
+        mg.verify_model_twist(mg.ProfileFunction("dehn", 0.5), 2,
+                              samples=100)
+        assert len(calls) == 16
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_report(self, dim):
@@ -197,14 +201,14 @@ class TestModelTwist:
 
 class TestC0Star:
     def test_id_kind(self):
-        s = sample(unit(0), 0.4 * unit(1))
-        out = mg.c0_star(s, "id")
-        assert np.array_equal(out.q, s.q) and np.array_equal(out.p, -s.p)
+        q, p = batch(unit(0), 0.4 * unit(1))
+        q2, p2 = mg._c0(q, p, "id")
+        assert np.array_equal(q2, q) and np.array_equal(p2, -p)
 
     def test_r_kind(self):
-        out = mg.c0_star(sample(unit(0), unit(1)), "r")
-        assert np.array_equal(out.q, -unit(0))
-        assert np.array_equal(out.p, -unit(1))
+        q, p = mg._c0(*batch(unit(0), unit(1)), "r")
+        assert np.array_equal(q[0], -unit(0))
+        assert np.array_equal(p[0], -unit(1))
 
     def test_involution_exact(self, rng):
         for kind in mg.KINDS:
@@ -214,7 +218,7 @@ class TestC0Star:
 
     def test_unknown_kind(self):
         with pytest.raises(mg.ModelError):
-            mg.c0_star(sample(unit(0), unit(1)), "swap")
+            mg.verify_lemma_identities("swap", 2)
 
 
 class TestLemmaIdentities:
@@ -227,37 +231,41 @@ class TestLemmaIdentities:
 
     def test_zero_time_reduction(self, rng):
         # at s = 0 the conjugation identity collapses to c = c
-        s = mg.random_sample(2, rng)
-        c = mg.c0_star(s, "id")
-        inner = mg.c0_star(s.negated().negated(), "id")
-        assert c.distance(inner) == 0.0
+        q, p = mg.random_batch(2, 1, rng, 0.1, 1.0)
+        c = mg._c0(q, p, "id")
+        inner = mg._c0(q, -(-p), "id")
+        assert dist(c, inner) == 0.0
 
 
 class TestHandle:
     def setup_method(self):
         self.nu = mg.ProfileFunction("admissible", epsilon=0.5, lam=2.0)
 
+    def handle(self, xi, p, q):
+        """Second and third factors (q2, p2, z) of the handle point with
+        parameters (xi, p, q); the first factor is xi itself."""
+        return mg._handle_batch(*xi, np.array([p]), np.array([q]), self.nu)
+
     def test_p_zero_reduces_to_flow_handle(self, rng):
-        xi = mg.random_sample(2, rng, 0.1, 0.4)
-        hp = mg.handle_point(xi, 0.0, 0.3, self.nu)
-        direct = mg.geodesic_flow(xi.negated(), float(self.nu(xi.norm)))
-        assert hp.xi1.distance(xi) == 0.0
-        assert hp.xi2.distance(direct) < 1e-12
-        assert hp.z == pytest.approx(0.3)
+        q, p = xi = mg.random_batch(2, 1, rng, 0.1, 0.4)
+        q2, p2, z = self.handle(xi, 0.0, 0.3)
+        direct = mg._flow(q, -p, self.nu(np.linalg.norm(p, axis=1)))
+        assert dist((q2, p2), direct) < 1e-12
+        assert z[0] == pytest.approx(0.3)
 
     def test_zero_fiber_flows_time_zero(self):
-        xi = sample(unit(0), np.zeros(3))
-        hp = mg.handle_point(xi, 0.2, 0.0, self.nu)
-        assert np.array_equal(hp.xi2.q, xi.q)
-        assert np.array_equal(hp.xi2.p, np.zeros(3))
-        assert hp.z.imag == pytest.approx(-0.2)
+        xi = batch(unit(0), np.zeros(3))
+        q2, p2, z = self.handle(xi, 0.2, 0.0)
+        assert np.array_equal(q2, xi[0])
+        assert np.array_equal(p2[0], np.zeros(3))
+        assert z[0].imag == pytest.approx(-0.2)
 
     def test_domain_enforced(self, rng):
-        xi = mg.random_sample(2, rng, 0.4, 0.45)
+        xi = mg.random_batch(2, 1, rng, 0.4, 0.45)
         with pytest.raises(mg.ModelError):
-            mg.handle_point(xi, 0.4, 0.0, self.nu)
+            self.handle(xi, 0.4, 0.0)
         with pytest.raises(mg.ModelError):
-            mg.handle_point(sample(unit(0), np.zeros(3)), 0.0, 0.1, self.nu)
+            self.handle(batch(unit(0), np.zeros(3)), 0.0, 0.1)
 
     @pytest.mark.parametrize("kind", ["id", "r"])
     @pytest.mark.parametrize("dim", [1, 2])
@@ -300,14 +308,6 @@ class TestSuspension:
         b = oracle_suspension_flow(q, p, 0.7, self.nu0, K)
         for x, y in zip(a, b):
             assert np.max(np.abs(x - y)) < 1e-6
-
-    def test_norm_contract_accepts_and_rejects(self):
-        good = mg.NormHamiltonian.from_pointwise(
-            lambda t, x1, x2: t * (1 - t) * x1.norm ** 2, dim=2)
-        assert abs(float(good.value(0.5, 0.3, 1.0)) - 0.25 * 0.09) < 1e-12
-        with pytest.raises(mg.ModelError):
-            mg.NormHamiltonian.from_pointwise(
-                lambda t, x1, x2: float(x1.q[0]), dim=2)
 
     def test_endpoint_vanishing_enforced(self):
         one = lambda t, n1, n2: np.ones_like(np.asarray(n1, float))

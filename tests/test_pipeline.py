@@ -3,6 +3,7 @@ import pytest
 
 from twistcheck import cli
 from twistcheck import floer as fl
+from twistcheck import gf2 as g
 from twistcheck import pipeline as pl
 from twistcheck import report as rp
 from twistcheck import scenarios as sc
@@ -115,6 +116,21 @@ class TestTheoremA:
         for _ in range(20):
             scen = sc.randomized_scenario(rng)
             assert pl.verify_theorem_A(scen).passed, scen.description
+
+    def test_homology_eliminated_once_per_complex_and_degree(self,
+                                                            monkeypatch):
+        # ranks, c* and the induced map share one complex of the cut, so
+        # its homology bases are eliminated once per degree
+        calls = []
+        rref = g.rref
+
+        def counted(*args):
+            calls.append(args)
+            return rref(*args)
+
+        monkeypatch.setattr(g, "rref", counted)
+        assert pl.verify_theorem_A(sc.genus2_scenario()).passed
+        assert len(calls) <= 8
 
     def test_verdicts_recomputable_from_data(self):
         # recomputation oracle: every verdict follows from the stored
