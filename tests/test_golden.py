@@ -38,6 +38,18 @@ CASES = ([(verb, name, n)
             for verb in ("les-check", "twist")
             for name in ("genus2-crossing", "torus-les")])
 
+# Cases with flags beyond --subdivide: (verb, scenario, subdivide, extra
+# flags).  Refined twists print the x.i part names of subdivided edges;
+# negative and positive powers walk both shears of the twisted strand and
+# both directions of the crossing; refined LES checks tighten bigons on
+# refined surfaces.
+LES_SCENARIOS = ("genus2-crossing", "torus-les")
+EXTRA_CASES = ([(verb, name, n, ())
+                for verb in ("twist", "les-check")
+                for name in LES_SCENARIOS for n in (1, 2)]
+               + [("twist", name, 0, ("--power", power))
+                  for name in LES_SCENARIOS for power in ("-2", "3")])
+
 # verify-model cases: (kind, dim, extra flags, exit status).  An admissible
 # profile has nu(0) = lambda < pi, so its twist does not approach the
 # antipode along rays: the twist verdict fails, and the report pins that.
@@ -47,19 +59,24 @@ MODEL_SAMPLES = 20000
 MODEL_SEED = 7
 
 
-def golden_path(verb: str, name: str, subdivide: int) -> pathlib.Path:
-    return GOLDEN / f"{verb}--{name}--s{subdivide}.json"
+def flag_tail(extra) -> str:
+    return "".join(f"--{flag.lstrip('-')}{value}"
+                   for flag, value in zip(extra[::2], extra[1::2]))
 
 
-def write_report(verb: str, name: str, subdivide: int, out) -> int:
-    return cli.main([verb, name, "--subdivide", str(subdivide),
+def golden_path(verb: str, name: str, subdivide: int,
+                extra=()) -> pathlib.Path:
+    return GOLDEN / f"{verb}--{name}--s{subdivide}{flag_tail(extra)}.json"
+
+
+def write_report(verb: str, name: str, subdivide: int, out,
+                 extra=()) -> int:
+    return cli.main([verb, name, "--subdivide", str(subdivide), *extra,
                      "--format", "structured", "--out", str(out)])
 
 
 def model_golden_path(kind: str, dim: int, extra) -> pathlib.Path:
-    tail = "".join(f"--{flag.lstrip('-')}{value}"
-                   for flag, value in zip(extra[::2], extra[1::2]))
-    return GOLDEN / f"verify-model--{kind}--d{dim}{tail}.json"
+    return GOLDEN / f"verify-model--{kind}--d{dim}{flag_tail(extra)}.json"
 
 
 def write_model_report(kind: str, dim: int, extra, out) -> int:
@@ -77,6 +94,17 @@ def test_report_bytes_unchanged(verb, name, subdivide, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "verb,name,subdivide,extra", EXTRA_CASES,
+    ids=[golden_path(*case).stem for case in EXTRA_CASES])
+def test_extra_flag_report_bytes_unchanged(verb, name, subdivide, extra,
+                                           tmp_path):
+    out = tmp_path / "report.json"
+    assert write_report(verb, name, subdivide, out, extra) == 0
+    assert out.read_bytes() == \
+        golden_path(verb, name, subdivide, extra).read_bytes()
+
+
+@pytest.mark.parametrize(
     "kind,dim,extra,status", MODEL_CASES,
     ids=[model_golden_path(*case[:3]).stem for case in MODEL_CASES])
 def test_model_report_bytes_unchanged(kind, dim, extra, status, tmp_path):
@@ -90,6 +118,9 @@ if __name__ == "__main__":
     for case in CASES:
         if write_report(*case, golden_path(*case)) != 0:
             sys.exit(f"no passing report for {case}")
+    for *case, extra in EXTRA_CASES:
+        if write_report(*case, golden_path(*case, extra), extra) != 0:
+            sys.exit(f"no passing report for {case} {extra}")
     for *case, status in MODEL_CASES:
         if write_model_report(*case, model_golden_path(*case)) != status:
             sys.exit(f"unexpected exit status for verify-model {case}")
