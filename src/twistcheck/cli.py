@@ -47,14 +47,14 @@ def _load_scenario(source: str) -> TwistScenario:
 def _subdivided(scenario: TwistScenario, rounds: int) -> TwistScenario:
     """Transport a scenario through global refinement.
 
-    Involutions are dropped: a cell involution of the coarse surface
-    does not determine one of the refinement (the new barycenters have
-    no canonical images), so involution verbs refuse --subdivide.
+    Involutions are dropped: transporting an involution through
+    refinement is not implemented yet (ROADMAP item 3), so involution
+    verbs refuse --subdivide.
     """
-    new, emap = scenario.surface.refined(rounds)
+    new, parts = scenario.surface.refined(rounds)
 
     def move(c):
-        return None if c is None else c.mapped(new, emap, c.name)
+        return None if c is None else c.mapped(new, parts, c.name)
 
     return TwistScenario(
         new, scenario.description + f" (subdivided x{rounds})",

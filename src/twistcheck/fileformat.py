@@ -220,7 +220,7 @@ def parse_text(text: str, source: str = "<string>") -> ParsedFile:
         raise FileFormatError(f"{source}: no [faces] section; a surface "
                               "needs at least one face")
     try:
-        surface = Surface([w for _, w in face_words])
+        surface = Surface.parse([w for _, w in face_words])
     except SurfaceError as exc:
         _fail(source, face_words[0][0], 1, f"invalid surface: {exc}")
 

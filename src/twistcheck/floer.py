@@ -11,10 +11,11 @@ across.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import gf2
-from .surface import Curve, Surface, _curve_vertex_data, _fresh, cut_along
+from .surface import (Curve, Surface, _curve_vertex_data, _expand, _mint,
+                      cut_along)
 
 
 class FloerError(Exception):
@@ -275,7 +276,6 @@ class TwistOutcome:
     s_image: Curve
     twisted: list
     carried: list
-    name_map: dict = field(default_factory=dict)
 
 
 def _crossing_columns(curve: Curve, s_curve: Curve, col_of_vertex):
@@ -299,21 +299,19 @@ def _dehn_twist(surface: Surface, s_curve: Curve, k: int, twist: list,
                 carry: list) -> TwistOutcome:
     """dehn_twist without the contractibility guard on s_curve."""
     if k == 0:
-        return TwistOutcome(surface, s_curve, twist, carry,
-                            {n: [n] for n in surface.edge_names})
+        return TwistOutcome(surface, s_curve, twist, carry)
     # a transported curve equal to S itself maps to the S image
     is_s = [cur.edges == s_curve.edges for cur in twist + carry]
 
     # subdivide every S edge into four parts: crossings land on columns
     # divisible by four, leaving room for strands and carried verticals
-    counts = {surface.edge_names[e]: 4 for e in s_curve.edges}
-    s1, emap = surface.subdivide_edges(counts)
-    S1 = s_curve.mapped(s1, emap)
+    s1, parts = surface.subdivide_edges({e: 4 for e in s_curve.edges})
+    S1 = s_curve.mapped(s1, parts)
     C = len(S1)
     col_of_vertex = {s1.tail(d): c for c, d in enumerate(S1.darts)}
-    twist1 = [None if is_s[i] else cur.mapped(s1, emap)
+    twist1 = [None if is_s[i] else cur.mapped(s1, parts)
               for i, cur in enumerate(twist)]
-    carry1 = [None if is_s[len(twist) + i] else cur.mapped(s1, emap)
+    carry1 = [None if is_s[len(twist) + i] else cur.mapped(s1, parts)
               for i, cur in enumerate(carry)]
 
     crossings = [_crossing_columns(cur, S1, col_of_vertex)
@@ -326,51 +324,52 @@ def _dehn_twist(surface: Surface, s_curve: Curve, k: int, twist: list,
             "two transported curves cross the twist curve at the same "
             "vertex; subdivide and perturb first")
     if not used_cols:
-        return TwistOutcome(surface, s_curve, twist, carry,
-                            {n: [n] for n in surface.edge_names})
+        return TwistOutcome(surface, s_curve, twist, carry)
 
+    # the annulus edges get ids after those of s1, whose S edges drop out
     R = abs(k) * C // 2 + 1
-    taken = set(s1.edge_names)
+    names = list(s1.edge_names)
+    taken = set(names)
 
     def fresh(base):
-        name = _fresh(base, taken)
-        taken.add(name)
-        return name
+        """Forward dart of a new edge named after base."""
+        return 2 * _mint(names, taken, base)
 
     # boundary copies of the S edges, oriented along S
     rc = [fresh(s1.edge_names[S1.darts[c] // 2] + "@r") for c in range(C)]
     lc = [fresh(s1.edge_names[S1.darts[c] // 2] + "@l") for c in range(C)]
-    hname = {}
+    h = {}
     for r in range(R + 1):
         for c in range(C):
             if r == 0:
-                hname[r, c] = rc[c]
+                h[r, c] = rc[c]
             elif r == R:
-                hname[r, c] = lc[c]
+                h[r, c] = lc[c]
             else:
-                hname[r, c] = fresh(f"ann_h{r}_{c}")
-    vname = {(r, c): fresh(f"ann_v{r}_{c}")
-             for r in range(R) for c in range(C)}
+                h[r, c] = fresh(f"ann_h{r}_{c}")
+    v = {(r, c): fresh(f"ann_v{r}_{c}") for r in range(R) for c in range(C)}
 
-    s_dart = {d // 2: d for d in S1.darts}
     col_of_edge = {S1.darts[c] // 2: c for c in range(C)}
 
     words = []
     for w in s1.words:
         nw = []
         for d in w:
-            e = d // 2
-            if e in col_of_edge:
-                c = col_of_edge[e]
-                nw.append(lc[c] if d == s_dart[e] else rc[c] + "'")
+            c = col_of_edge.get(d // 2)
+            if c is None:
+                nw.append(d)
             else:
-                nw.append(s1.symbol(d))
+                nw.append(lc[c] if d == S1.darts[c] else rc[c] ^ 1)
         words.append(nw)
     for r in range(R):
         for c in range(C):
-            words.append([hname[r, c], vname[r, (c + 1) % C],
-                          hname[r + 1, c] + "'", vname[r, c] + "'"])
-    s2 = Surface(words)
+            words.append((h[r, c], v[r, (c + 1) % C], h[r + 1, c] ^ 1,
+                          v[r, c] ^ 1))
+    s2 = Surface(words, names)
+
+    def curve(darts, name):
+        return Curve(s2, [2 * s2.renumber[d >> 1] + (d & 1) for d in darts],
+                     name)
 
     # sides: row 0 is glued to the right of S (the side carrying the
     # reversed occurrences), row R to the left
@@ -384,56 +383,40 @@ def _dehn_twist(surface: Surface, s_curve: Curve, k: int, twist: list,
     sign = 1 if k > 0 else -1
 
     def up_strand(c0):
-        seq = [vname[0, c0 % C]]
+        seq = [v[0, c0 % C]]
         col = c0
         for r in range(1, R):
             if sign > 0:
-                seq += [hname[r, col % C], hname[r, (col + 1) % C]]
+                seq += [h[r, col % C], h[r, (col + 1) % C]]
                 col += 2
             else:
-                seq += [hname[r, (col - 1) % C] + "'",
-                        hname[r, (col - 2) % C] + "'"]
+                seq += [h[r, (col - 1) % C] ^ 1, h[r, (col - 2) % C] ^ 1]
                 col -= 2
-            seq.append(vname[r, col % C])
+            seq.append(v[r, col % C])
         assert (col - c0) % C == 0
         return seq
 
     def up_carry(c0):
-        return ([rc[c0 % C]]
-                + [vname[r, (c0 + 1) % C] for r in range(R)]
-                + [lc[c0 % C] + "'"])
-
-    def rev(seq):
-        out = []
-        for sym in reversed(seq):
-            out.append(sym[:-1] if sym.endswith("'") else sym + "'")
-        return out
+        return ([rc[c0 % C]] + [v[r, (c0 + 1) % C] for r in range(R)]
+                + [lc[c0 % C] ^ 1])
 
     def transport(cur, xmap, splice):
-        syms = []
+        darts = []
         for d in cur.darts:
-            syms.append(s1.symbol(d))
-            v = s1.head(d)
-            if v in col_of_vertex and col_of_vertex[v] in xmap:
-                pt = xmap[col_of_vertex[v]]
-                seq = splice(col_of_vertex[v])
-                syms.extend(seq if travels_up(pt) else rev(seq))
-        return Curve.from_symbols(s2, syms, cur.name)
+            darts.append(d)
+            c = col_of_vertex.get(s1.head(d))
+            if c in xmap:
+                seq = splice(c)
+                darts.extend(seq if travels_up(xmap[c])
+                             else [x ^ 1 for x in reversed(seq)])
+        return curve(darts, cur.name)
 
-    s_image = Curve.from_symbols(s2, [rc[c] for c in range(C)], s_curve.name)
+    s_image = curve(rc, s_curve.name)
     out_twisted = [s_image if cur is None else transport(cur, xmap, up_strand)
                    for cur, xmap in zip(twist1, crossings)]
     out_carried = [s_image if cur is None else transport(cur, xmap, up_carry)
                    for cur, xmap in zip(carry1, carried_x)]
-
-    name_map = {}
-    for name, parts in emap.items():
-        mapped = []
-        for p in parts:
-            e = s1.edge_index[p]
-            mapped.append(rc[col_of_edge[e]] if e in col_of_edge else p)
-        name_map[name] = mapped
-    return TwistOutcome(s2, s_image, out_twisted, out_carried, name_map)
+    return TwistOutcome(s2, s_image, out_twisted, out_carried)
 
 
 # ---------------------------------------------------------------------------
@@ -494,12 +477,6 @@ def _consecutive_run(l1: Curve, arc_edges):
     if not all(flags[(start + t) % n] for t in range(q)):
         raise FloerError("bigon arc is not a consecutive run of the curve")
     return start, q
-
-
-def _dart_part_symbols(s: Surface, d: int, parts):
-    if d & 1:
-        return [p + "'" for p in reversed(parts)]
-    return list(parts)
 
 
 def _remove_bigon(l0: Curve, l1: Curve, region: Region):
@@ -567,19 +544,16 @@ def _remove_bigon(l0: Curve, l1: Curve, region: Region):
     # consists of the arc plus a single extra edge, that edge carries
     # both gates and is cut into three
     same_gate = p_before == p_after
-    counts = {s.edge_names[e]: 2 for e in crossed_edges}
-    counts[s.edge_names[p_before // 2]] = 3 if same_gate else 2
+    counts = {e: 2 for e in crossed_edges}
+    counts[p_before // 2] = 3 if same_gate else 2
     if not same_gate:
-        counts[s.edge_names[p_after // 2]] = 2
+        counts[p_after // 2] = 2
     s2, parts = s.subdivide_edges(counts)
 
     def midpoints(d):
         """Subdivision vertices along the dart direction."""
-        syms = _dart_part_symbols(s, d, parts[s.edge_names[d // 2]])
-        return [s2.head(s2.dart(sym)) for sym in syms[:-1]]
+        return [s2.head(x) for x in _expand([d], parts)[:-1]]
 
-    entry = _dart_part_symbols(s, p_before, parts[s.edge_names[p_before // 2]])
-    exit_ = _dart_part_symbols(s, p_after, parts[s.edge_names[p_after // 2]])
     if same_gate:
         # p_before runs z1 -> z0; the corridor leaves near z0 and
         # returns near z1
@@ -587,10 +561,10 @@ def _remove_bigon(l0: Curve, l1: Curve, region: Region):
     else:
         m_u = midpoints(p_before)[0]
         m_w = midpoints(p_after)[0]
-    m_cross = [s2.head(s2.dart(parts[s.edge_names[d // 2]][0]))
-               for d in crossed]
+    m_cross = [s2.head(2 * parts[d // 2][0]) for d in crossed]
 
     s3, spokes = s2.cone_faces(corridor_faces)
+    parts = [[s3.renumber[p] for p in ps] for ps in parts]
 
     def spoke_at(face, vertex):
         hits = [i for i, d in enumerate(s2.words[face])
@@ -602,27 +576,20 @@ def _remove_bigon(l0: Curve, l1: Curve, region: Region):
     gates = [m_u] + m_cross + [m_w]
     path = []
     for f, g_in, g_out in zip(corridor_faces, gates, gates[1:]):
-        path.append(spoke_at(f, g_in))
-        path.append(spoke_at(f, g_out) + "'")
+        path += [2 * spoke_at(f, g_in), 2 * spoke_at(f, g_out) + 1]
 
+    entry = _expand([p_before], parts)
     if same_gate:
-        new_syms = [entry[1]] + path
+        l1_darts = [entry[1]] + path
     else:
-        kept_syms = []
+        kept = []
         i = (start + q + 1) % nl1
         while l1.darts[i] != p_before:
-            d = l1.darts[i]
-            kept_syms += _dart_part_symbols(
-                s, d, parts[s.edge_names[d // 2]])
+            kept.append(l1.darts[i])
             i = (i + 1) % nl1
-        new_syms = [entry[0]] + path + [exit_[1]] + kept_syms
-
-    l0_new = Curve.from_symbols(
-        s3, [sym for d in l0.darts
-             for sym in _dart_part_symbols(
-                 s, d, parts[s.edge_names[d // 2]])], l0.name)
-    l1_new = Curve.from_symbols(s3, new_syms, l1.name)
-    return s3, l0_new, l1_new
+        exit_ = _expand([p_after], parts)
+        l1_darts = [entry[0]] + path + [exit_[1]] + _expand(kept, parts)
+    return s3, l0.mapped(s3, parts), Curve(s3, l1_darts, l1.name)
 
 
 def tighten_pair(l0: Curve, l1: Curve, keep_self_floer: bool = False,
@@ -649,9 +616,9 @@ def tighten_pair(l0: Curve, l1: Curve, keep_self_floer: bool = False,
             if refines > max_refines:
                 raise FloerError("bigon removal failed to stabilize "
                                  "after repeated refinement")
-            fine, emap = l0.surface.refined(1)
-            l0 = l0.mapped(fine, emap)
-            l1 = l1.mapped(fine, emap)
+            fine, parts = l0.surface.refined(1)
+            l0 = l0.mapped(fine, parts)
+            l1 = l1.mapped(fine, parts)
 
 
 def _are_isotopic_disjoint(l0: Curve, l1: Curve) -> bool:

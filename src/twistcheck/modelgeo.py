@@ -569,6 +569,9 @@ def verify_suspension_symmetry(kind: str, nu0: ProfileFunction,
 
     if samples < 1:
         raise ModelError("sample count must be at least 1")
+    if t_chunks < 2:
+        raise ModelError("t_chunks must be at least 2: the slices t = 0 "
+                         "and t = 1 are always checked")
     t_values = rng.uniform(0.0, 1.0, size=t_chunks)
     t_values[0] = 0.0
     t_values[1] = 1.0

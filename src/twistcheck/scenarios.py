@@ -31,7 +31,7 @@ class TwistScenario:
 
 def torus_scenario() -> TwistScenario:
     """Square torus, S the (1,0) curve, c the reflection fixing S."""
-    s = Surface([["a", "b", "a'", "b'"]])
+    s = Surface.parse([["a", "b", "a'", "b'"]])
     S = Curve.from_symbols(s, ["a"], "S")
     c = Involution.from_cycles(s, [["b", "b'"]], "c")
     b = Curve.from_symbols(s, ["b"], "b")
@@ -51,7 +51,7 @@ def genus2_scenario(component_preserving: bool = False) -> TwistScenario:
     The default involution swaps the two genus-1 pieces; with
     component_preserving=True it reflects each piece onto itself.
     """
-    s = Surface(_GENUS2_WORDS)
+    s = Surface.parse(_GENUS2_WORDS)
     S = Curve.from_symbols(s, ["u1", "u2"], "S")
     if component_preserving:
         c = Involution.from_cycles(
@@ -81,20 +81,20 @@ def genus2_crossing_scenario() -> TwistScenario:
     gamma: every vertex of the bare two-chord complex lies on gamma, so
     Q threads through the barycenter and the midpoint of a1 instead.
     """
-    base = Surface([
+    base = Surface.parse([
         ["h1", "u2", "e1", "a1", "b1", "a1'", "b1'"],
         ["h1'", "e1'", "u1"],
         ["h2", "u1'", "e2", "a2", "b2", "a2'", "b2'"],
         ["h2'", "e2'", "u2'"],
     ])
-    split, _ = base.subdivide_edges({"a1": 2})
+    split, _ = base.subdivide_edges({base.edge_index["a1"]: 2})
     s, spokes = split.cone_faces([0])
     # face 0 word after splitting a1:
     #   h1 u2 e1 a1.0 a1.1 b1 a1.1' a1.0' b1'
     # so the spokes at positions 4 and 7 both start at the a1 midpoint.
     S = Curve.from_symbols(s, ["u1", "u2"], "S")
     gamma = Curve.from_symbols(s, ["h1", "h2'", "e2'", "e1"], "gamma")
-    q = Curve.from_symbols(s, [spokes[0][4], spokes[0][7] + "'"], "Q")
+    q = Curve(s, [2 * spokes[0][4], 2 * spokes[0][7] + 1], "Q")
     return TwistScenario(
         s, "genus 2 with a curve crossing S twice", S,
         q_curve=q, n_curve=gamma,
@@ -105,7 +105,7 @@ def genus2_crossing_scenario() -> TwistScenario:
 
 def genus3_scenario() -> TwistScenario:
     """Genus 3, S separating a genus-1 from a genus-2 piece."""
-    s = Surface([
+    s = Surface.parse([
         ["e1", "a1", "b1", "a1'", "b1'", "e1'", "u1", "u2"],
         ["e2", "a2", "b2", "a2'", "b2'", "c2", "d2", "c2'", "d2'",
          "e2'", "u2'", "u1'"],
@@ -132,16 +132,17 @@ def grid_torus(n: int) -> Surface:
     """
     if n < 2:
         raise ValueError("grid size must be at least 2")
-    words = []
-    for j in range(n):
-        for i in range(n):
-            words.append([
-                f"h{i}_{j}",
-                f"v{(i + 1) % n}_{j}",
-                f"h{i}_{(j + 1) % n}'",
-                f"v{i}_{j}'",
-            ])
-    return Surface(words)
+
+    def h(i, j):
+        return 2 * (j % n * n + i % n)
+
+    def v(i, j):
+        return 2 * (n * n + j % n * n + i % n)
+
+    names = [f"{kind}{i}_{j}" for kind in "hv"
+             for j in range(n) for i in range(n)]
+    return Surface([(h(i, j), v(i + 1, j), h(i, j + 1) ^ 1, v(i, j) ^ 1)
+                    for j in range(n) for i in range(n)], names)
 
 
 def grid_row(surface: Surface, n: int, j: int, name: str = "") -> Curve:
@@ -160,23 +161,23 @@ def grid_path_curve(surface: Surface, n: int, path, name: str = "") -> Curve:
     Consecutive vertices must be neighbours on the grid torus; a step of
     n-1 in one coordinate is read as a single wraparound step backwards.
     """
-    syms = []
+    darts = []
     m = len(path)
     for k in range(m):
         (x, y), (x2, y2) = path[k], path[(k + 1) % m]
         dx, dy = (x2 - x) % n, (y2 - y) % n
         if dy == 0 and dx == 1:
-            syms.append(f"h{x}_{y}")
+            darts.append(surface.dart(f"h{x}_{y}"))
         elif dy == 0 and dx == n - 1:
-            syms.append(f"h{x2}_{y}'")
+            darts.append(surface.dart(f"h{x2}_{y}") ^ 1)
         elif dx == 0 and dy == 1:
-            syms.append(f"v{x}_{y}")
+            darts.append(surface.dart(f"v{x}_{y}"))
         elif dx == 0 and dy == n - 1:
-            syms.append(f"v{x}_{y2}'")
+            darts.append(surface.dart(f"v{x}_{y2}") ^ 1)
         else:
             raise ValueError(f"vertices {path[k]} and {path[(k + 1) % m]} "
                              "are not grid neighbours")
-    return Curve.from_symbols(surface, syms, name)
+    return Curve(surface, darts, name)
 
 
 def torus_les_scenario() -> TwistScenario:
@@ -240,30 +241,21 @@ def randomized_scenario(rng) -> TwistScenario:
             lambda: genus2_scenario(component_preserving=True),
             genus3_scenario][int(rng.integers(4))]()
     old = base.surface
-    names = list(old.edge_names)
-    fresh = [f"x{i}" for i in range(len(names))]
+    fresh = [f"x{i}" for i in range(old.n_edges)]
     rng.shuffle(fresh)
-    rename = dict(zip(names, fresh))
-
-    def tr(sym):
-        if sym.endswith("'"):
-            return rename[sym[:-1]] + "'"
-        return rename[sym]
 
     words = []
-    for word in old.face_words_symbols():
+    for word in old.words:
         off = int(rng.integers(len(word)))
-        words.append([tr(w) for w in word[off:] + word[:off]])
+        words.append(word[off:] + word[:off])
     order = list(range(len(words)))
     rng.shuffle(order)
-    new = Surface([words[i] for i in order])
+    new = Surface([words[i] for i in order], fresh)
 
     def tr_dart(d):
-        nd = new.dart(tr(old.edge_names[d // 2]))
-        return nd ^ (d & 1)
+        return 2 * new.renumber[d // 2] + (d & 1)
 
-    curves = {name: Curve.from_symbols(new, [tr(s) for s in c.symbols()],
-                                       name)
+    curves = {name: Curve(new, [tr_dart(d) for d in c.darts], name)
               for name, c in base.curves.items()}
     invol = None
     if base.involution is not None:

@@ -1,18 +1,26 @@
 """Combinatorial closed oriented surfaces, curves in the 1-skeleton,
 cutting, cellular cohomology over GF(2), and cellular involutions.
 
-A surface is given by its counterclockwise face boundary words over edge
-symbols; a trailing apostrophe marks the reversed edge.  Edge e owns two
-darts 2e (forward) and 2e+1 (reversed); every dart occurs exactly once
-across the face words of a closed oriented surface.  The vertex rotation
-(counterclockwise cyclic order of outgoing darts) is derived, not input:
-sigma(d) = phi(alpha(d)) with phi the face successor and alpha the edge
-flip.
+A surface is given by its counterclockwise face boundary words over
+darts.  Edge e owns two darts 2e (forward) and 2e+1 (reversed); every
+dart occurs exactly once across the face words of a closed oriented
+surface.  The vertex rotation (counterclockwise cyclic order of outgoing
+darts) is derived, not input: sigma(d) = phi(alpha(d)) with phi the face
+successor and alpha the edge flip.
+
+Edge names live only in Surface.edge_names, a list parallel to the edge
+numbers.  Refinements and twists build their surfaces from dart words
+and mint names for new edges into that list; names are never parsed
+back.  Edge symbols (a name, plus a trailing apostrophe for the reversed
+dart) are read at the input edge only, by Surface.parse, Surface.dart,
+Curve.from_symbols and Involution.from_cycles, and written at the output
+edge only, by Surface.symbol.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -54,43 +62,57 @@ def parse_symbol(sym: str):
     return s, prime
 
 
-def _fresh(base: str, taken) -> str:
-    name = base
-    while name in taken:
-        name += "+"
-    return name
+def _mint(names: list, taken: set, base: str) -> int:
+    """Append a new edge name, base with "+" added until it is not taken;
+    return its index in names."""
+    while base in taken:
+        base += "+"
+    taken.add(base)
+    names.append(base)
+    return len(names) - 1
 
 
 class Surface:
     """Closed connected oriented surface as a combinatorial map."""
 
-    def __init__(self, face_words):
-        names: list[str] = []
-        index: dict[str, int] = {}
-        words = []
-        for w in face_words:
+    def __init__(self, words, names):
+        """Build the surface from face words over the caller's darts.
+
+        Darts 2i and 2i+1 are the two directions of the caller's edge i,
+        named names[i]; ids need not be dense or in order.  Edges are
+        renumbered by first appearance in the words, and renumber[i] is
+        the number given to caller edge i (-1 when i does not occur).
+        """
+        renumber = [-1] * len(names)
+        edge_names: list[str] = []
+        dart_words = []
+        for w in words:
             if not w:
                 raise SurfaceError("empty face word")
             dw = []
-            for sym in w:
-                name, prime = parse_symbol(sym)
-                if name not in index:
-                    index[name] = len(names)
-                    names.append(name)
-                dw.append(2 * index[name] + (1 if prime else 0))
-            words.append(tuple(dw))
-        self.edge_names = names
-        self.edge_index = index
-        self.n_edges = len(names)
-        self.words = words
-        self.n_faces = len(words)
+            for d in w:
+                e = renumber[d >> 1]
+                if e < 0:
+                    e = renumber[d >> 1] = len(edge_names)
+                    edge_names.append(names[d >> 1])
+                dw.append(2 * e + (d & 1))
+            dart_words.append(tuple(dw))
+        self.renumber = renumber
+        self.edge_names = edge_names
+        self.n_edges = len(edge_names)
+        self.words = dart_words
+        self.n_faces = len(dart_words)
         n_darts = 2 * self.n_edges
 
         seen = [0] * n_darts
-        for w in words:
-            for d in w:
+        phi = [0] * n_darts
+        face_of = [0] * n_darts
+        for fi, w in enumerate(dart_words):
+            for d, nxt in zip(w, w[1:] + w[:1]):
                 seen[d] += 1
-        for e, name in enumerate(names):
+                phi[d] = nxt
+                face_of[d] = fi
+        for e, name in enumerate(edge_names):
             total = seen[2 * e] + seen[2 * e + 1]
             if total != 2:
                 raise NonSurfaceError(
@@ -101,19 +123,9 @@ class Surface:
                     f"edge {name!r} is glued to itself preserving "
                     "orientation; the gluing is non-orientable")
 
-        self.phi = np.empty(n_darts, dtype=np.int64)
-        self.phi_inv = np.empty(n_darts, dtype=np.int64)
-        self.face_of = np.empty(n_darts, dtype=np.int64)
-        for fi, w in enumerate(words):
-            for i, d in enumerate(w):
-                nxt = w[(i + 1) % len(w)]
-                self.phi[d] = nxt
-                self.phi_inv[nxt] = d
-                self.face_of[d] = fi
-
         # vertices are orbits of sigma(d) = phi(alpha(d)); the orbit order
         # is the clockwise rotation of outgoing darts.
-        vertex_of = np.full(n_darts, -1, dtype=np.int64)
+        vertex_of = [-1] * n_darts
         rotations: list[tuple[int, ...]] = []
         for d0 in range(n_darts):
             if vertex_of[d0] >= 0:
@@ -123,28 +135,50 @@ class Surface:
             while vertex_of[d] < 0:
                 vertex_of[d] = len(rotations)
                 orbit.append(d)
-                d = int(self.phi[d ^ 1])
+                d = phi[d ^ 1]
             rotations.append(tuple(orbit))
-        self.vertex_of = vertex_of
         self.rotations = rotations
         self.n_vertices = len(rotations)
 
         # connectivity of the dart graph under alpha and phi
         if n_darts:
-            seen_d = np.zeros(n_darts, dtype=bool)
+            seen_d = [False] * n_darts
             stack = [0]
             seen_d[0] = True
             while stack:
                 d = stack.pop()
-                for nd in (d ^ 1, int(self.phi[d])):
+                for nd in (d ^ 1, phi[d]):
                     if not seen_d[nd]:
                         seen_d[nd] = True
                         stack.append(nd)
-            if not seen_d.all():
+            if not all(seen_d):
                 raise DisconnectedError(
                     "the face words describe a disconnected surface")
 
+        self.phi = np.array(phi, dtype=np.int64)
+        self.phi_inv = np.empty(n_darts, dtype=np.int64)
+        self.phi_inv[self.phi] = np.arange(n_darts)
+        self.face_of = np.array(face_of, dtype=np.int64)
+        self.vertex_of = np.array(vertex_of, dtype=np.int64)
+
+    @classmethod
+    def parse(cls, face_words):
+        """Build the surface from face words over edge symbols."""
+        index: dict[str, int] = {}
+        words = []
+        for w in face_words:
+            dw = []
+            for sym in w:
+                name, prime = parse_symbol(sym)
+                dw.append(2 * index.setdefault(name, len(index)) + prime)
+            words.append(dw)
+        return cls(words, list(index))
+
     # -- dart utilities ------------------------------------------------
+
+    @cached_property
+    def edge_index(self) -> dict[str, int]:
+        return {name: e for e, name in enumerate(self.edge_names)}
 
     def tail(self, d: int) -> int:
         return int(self.vertex_of[d])
@@ -165,11 +199,8 @@ class Surface:
     def symbol(self, d: int) -> str:
         return self.edge_names[d // 2] + ("'" if d & 1 else "")
 
-    def word_symbols(self, fi: int):
-        return [self.symbol(d) for d in self.words[fi]]
-
     def face_words_symbols(self):
-        return [self.word_symbols(fi) for fi in range(self.n_faces)]
+        return [[self.symbol(d) for d in w] for w in self.words]
 
     # -- global invariants ----------------------------------------------
 
@@ -184,81 +215,83 @@ class Surface:
 
     # -- refinement ------------------------------------------------------
 
-    def subdivide_edges(self, counts: dict[str, int]):
-        """Split the named edges into consecutive parts.
+    def subdivide_edges(self, counts: dict[int, int]):
+        """Split edges into consecutive parts.
 
-        counts maps edge name -> number of parts (>= 1).  Returns the new
-        surface and the name map {old name: [part names in tail-to-head
-        order]}; unnamed edges keep their symbol.
+        counts maps edge -> number of parts (>= 1; default 1).  Returns
+        the new surface and parts, where parts[e] lists the new edges of
+        edge e in tail-to-head order.  Part i of a split edge x is named
+        x.i.
         """
         taken = set(self.edge_names)
-        parts: dict[str, list[str]] = {}
-        for name in self.edge_names:
-            k = counts.get(name, 1)
+        names = []
+        ids = []
+        for e, name in enumerate(self.edge_names):
+            k = counts.get(e, 1)
             if k < 1:
                 raise SurfaceError(f"cannot split {name!r} into {k} parts")
             if k == 1:
-                parts[name] = [name]
+                names.append(name)
+                ids.append([len(names) - 1])
             else:
-                ps = []
-                for i in range(k):
-                    p = _fresh(f"{name}.{i}", taken)
-                    taken.add(p)
-                    ps.append(p)
-                parts[name] = ps
-        new_words = []
-        for w in self.words:
-            nw = []
-            for d in w:
-                ps = parts[self.edge_names[d // 2]]
-                if d & 1:
-                    nw.extend(p + "'" for p in reversed(ps))
-                else:
-                    nw.extend(ps)
-            new_words.append(nw)
-        return Surface(new_words), parts
+                ids.append([_mint(names, taken, f"{name}.{i}")
+                            for i in range(k)])
+        s = Surface([_expand(w, ids) for w in self.words], names)
+        return s, [[s.renumber[p] for p in ps] for ps in ids]
 
     def cone_faces(self, face_ids):
         """Replace each selected face by the cone over its boundary.
 
         Returns the new surface and, per coned face, the list of spoke
-        names aligned with the face word: spoke i runs from the tail of
-        the i-th boundary dart to the new barycenter.
+        edges aligned with the face word: spoke i runs from the tail of
+        the i-th boundary dart to the new barycenter.  The new surface's
+        renumber maps the edges of this one.
         """
         face_ids = set(face_ids)
-        taken = set(self.edge_names)
-        spokes: dict[int, list[str]] = {}
+        names = list(self.edge_names)
+        taken = set(names)
+        spokes: dict[int, list[int]] = {}
         new_words = []
         for fi, w in enumerate(self.words):
             if fi not in face_ids:
-                new_words.append([self.symbol(d) for d in w])
+                new_words.append(w)
                 continue
             m = len(w)
-            names = []
-            for i in range(m):
-                s = _fresh(f"f{fi}.s{i}", taken)
-                taken.add(s)
-                names.append(s)
-            spokes[fi] = names
+            ids = spokes[fi] = [_mint(names, taken, f"f{fi}.s{i}")
+                                for i in range(m)]
             for i, d in enumerate(w):
-                new_words.append([self.symbol(d), names[(i + 1) % m],
-                                  names[i] + "'"])
-        return Surface(new_words), spokes
+                new_words.append((d, 2 * ids[(i + 1) % m], 2 * ids[i] + 1))
+        s = Surface(new_words, names)
+        return s, {fi: [s.renumber[x] for x in ids]
+                   for fi, ids in spokes.items()}
 
     def refined(self, rounds: int = 1):
         """Global refinement: halve every edge, cone every face.
 
-        Returns the refined surface and the cumulative edge name map.
+        Returns the refined surface and parts, where parts[e] lists the
+        refined edges of edge e in tail-to-head order.
         """
         s = self
-        emap = {name: [name] for name in self.edge_names}
+        parts = [[e] for e in range(self.n_edges)]
         for _ in range(rounds):
-            s2, parts = s.subdivide_edges({n: 2 for n in s.edge_names})
-            s3, _ = s2.cone_faces(range(s2.n_faces))
-            emap = {orig: [p for mid in mids for p in parts[mid]]
-                    for orig, mids in emap.items()}
-            s = s3
-        return s, emap
+            s2, halves = s.subdivide_edges({e: 2 for e in range(s.n_edges)})
+            s, _ = s2.cone_faces(range(s2.n_faces))
+            parts = [[s.renumber[p] for mid in ps for p in halves[mid]]
+                     for ps in parts]
+        return s, parts
+
+
+def _expand(darts, parts):
+    """Carry darts to a surface in which edge e became the edges
+    parts[e], listed tail to head."""
+    out = []
+    for d in darts:
+        ps = parts[d >> 1]
+        if d & 1:
+            out.extend(2 * p + 1 for p in reversed(ps))
+        else:
+            out.extend(2 * p for p in ps)
+    return out
 
 
 def subdivide(x: Surface, n: int) -> Surface:
@@ -314,18 +347,12 @@ class Curve:
         return Curve(self.surface, [d ^ 1 for d in reversed(self.darts)],
                      self.name + "~rev" if self.name else "")
 
-    def mapped(self, surface: Surface, name_map: dict[str, list[str]],
+    def mapped(self, surface: Surface, parts,
                name: str | None = None) -> "Curve":
-        """Transport through a refinement given the edge name map."""
-        syms = []
-        for d in self.darts:
-            ps = name_map[self.surface.edge_names[d // 2]]
-            if d & 1:
-                syms.extend(p + "'" for p in reversed(ps))
-            else:
-                syms.extend(ps)
-        return Curve.from_symbols(surface, syms,
-                                  self.name if name is None else name)
+        """Transport to a refinement in which edge e became the edges
+        parts[e], listed tail to head."""
+        return Curve(surface, _expand(self.darts, parts),
+                     self.name if name is None else name)
 
     def is_contractible(self) -> bool:
         cut = cut_along(self.surface, [self])

@@ -8,7 +8,7 @@ from oracles import flat_torus_crossings
 
 
 def square_torus():
-    s = sf.Surface([["a", "b", "a'", "b'"]])
+    s = sf.Surface.parse([["a", "b", "a'", "b'"]])
     return s, sf.Curve.from_symbols(s, ["a"], "a"), \
         sf.Curve.from_symbols(s, ["b"], "b")
 
@@ -179,8 +179,41 @@ class TestTighten:
         r0 = sc.grid_row(s, 5, 0)
         assert fl.rank_hf(r0, r0).dims == {0: 1, 1: 1}
 
+    def test_degenerate_corridor_refines_and_retries(self, monkeypatch):
+        # the first bigon removal reports a degenerate corridor, so the
+        # pair is carried through one global refinement before the retry
+        real, calls = fl._remove_bigon, []
+
+        def degenerate_once(l0, l1, region):
+            calls.append(l0.surface)
+            if len(calls) == 1:
+                raise fl._Degenerate("forced")
+            return real(l0, l1, region)
+
+        monkeypatch.setattr(fl, "_remove_bigon", degenerate_once)
+        s = sc.grid_torus(5)
+        l0, l1 = fl.tighten_pair(sc.grid_row(s, 5, 0), wiggled_column(s))
+        assert len(fl.find_intersections(l0, l1)) == 1
+        # halving every edge makes each square an octagon, coned into
+        # eight triangles
+        assert calls[0] is s and calls[1].n_faces == 8 * s.n_faces
+
 
 class TestDehnTwist:
+    def test_les_steps_parse_no_symbols(self, monkeypatch):
+        # derived surfaces and curves are built from dart words: once the
+        # scenario is loaded, no edge symbol is parsed
+        scen = sc.torus_les_scenario()
+        real, parsed = sf.parse_symbol, []
+        monkeypatch.setattr(
+            sf, "parse_symbol", lambda sym: parsed.append(sym) or real(sym))
+        _, _, seq, moved = fl.twist_rank_sequence(
+            scen.s_curve, scen.q_curve, scen.n_curve, 3)
+        assert moved and [r.total() for r in seq] == [2, 1, 2, 3]
+        assert parsed == []
+        scen.surface.dart("h0_0")  # the counter sees parses
+        assert parsed == ["h0_0"]
+
     def test_trivial_cases(self):
         s = sc.grid_torus(4)
         r0, c0 = sc.grid_row(s, 4, 0), sc.grid_col(s, 4, 0)

@@ -316,6 +316,14 @@ class TestSuspension:
             mg.verify_suspension_symmetry("id", self.nu0, K, 1,
                                           samples=100, seed=1)
 
+    @pytest.mark.parametrize("t_chunks", [0, 1])
+    def test_fewer_than_two_slices_rejected(self, t_chunks):
+        # the slices t = 0 and t = 1 are always drawn
+        with pytest.raises(mg.ModelError, match="t_chunks"):
+            mg.verify_suspension_symmetry(
+                "id", self.nu0, mg.NormHamiltonian.zero(), 1, samples=10,
+                t_chunks=t_chunks)
+
 
 class TestSplitting:
     @pytest.mark.parametrize("kind", ["id", "r"])

@@ -268,8 +268,8 @@ class TestReports:
 class TestSubdivisionInvariance:
     def test_hf_ranks_stable_under_refinement(self):
         scen = sc.genus2_scenario()
-        new, emap = scen.surface.refined(1)
-        s2 = scen.s_curve.mapped(new, emap, "S")
+        new, parts = scen.surface.refined(1)
+        s2 = scen.s_curve.mapped(new, parts, "S")
         refined = sc.TwistScenario(new, "refined", s2)
         dims, _ = pl.hf_inverse_twist(refined)
         assert dims.dims == {0: 2, 1: 4}

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from twistcheck import floer as fl
 from twistcheck import gf2 as g
 from twistcheck import scenarios as sc
 from twistcheck import surface as sf
@@ -10,7 +11,7 @@ def polygon_surface(genus):
     word = []
     for i in range(genus):
         word += [f"a{i}", f"b{i}", f"a{i}'", f"b{i}'"]
-    return sf.Surface([word])
+    return sf.Surface.parse([word])
 
 
 class TestBuild:
@@ -20,20 +21,20 @@ class TestBuild:
         assert (s.n_vertices, s.n_edges, s.n_faces) == (1, 4, 1)
 
     def test_square_torus(self):
-        s = sf.Surface([["a", "b", "a'", "b'"]])
+        s = sf.Surface.parse([["a", "b", "a'", "b'"]])
         assert s.genus() == 1
 
     def test_nonorientable_rejected(self):
         with pytest.raises(sf.NonOrientableError):
-            sf.Surface([["a", "a", "b", "b'"]])
+            sf.Surface.parse([["a", "a", "b", "b'"]])
 
     def test_bad_edge_count_rejected(self):
         with pytest.raises(sf.NonSurfaceError):
-            sf.Surface([["a", "b", "a'"]])
+            sf.Surface.parse([["a", "b", "a'"]])
 
     def test_disconnected_rejected(self):
         with pytest.raises(sf.DisconnectedError):
-            sf.Surface([["a", "b", "a'", "b'"], ["c", "d", "c'", "d'"]])
+            sf.Surface.parse([["a", "b", "a'", "b'"], ["c", "d", "c'", "d'"]])
 
     def test_corpus_cell_counts(self):
         s2 = sc.genus2_scenario().surface
@@ -50,8 +51,8 @@ class TestSubdivide:
         assert sf.subdivide(s, 1).euler() == -2
 
     def test_strictly_finer(self):
-        t1 = sf.subdivide(sf.Surface([["a", "b", "a'", "b'"]]), 1)
-        t2 = sf.subdivide(sf.Surface([["a", "b", "a'", "b'"]]), 2)
+        t1 = sf.subdivide(sf.Surface.parse([["a", "b", "a'", "b'"]]), 1)
+        t2 = sf.subdivide(sf.Surface.parse([["a", "b", "a'", "b'"]]), 2)
         assert t1.genus() == t2.genus() == 1
         assert t2.n_edges > t1.n_edges
 
@@ -61,11 +62,60 @@ class TestSubdivide:
 
     def test_curve_transport(self):
         scen = sc.genus2_scenario()
-        fine, emap = scen.surface.refined(1)
-        S2 = scen.s_curve.mapped(fine, emap)
+        fine, parts = scen.surface.refined(1)
+        S2 = scen.s_curve.mapped(fine, parts)
         assert len(S2) == 2 * len(scen.s_curve)
         cut = sf.cut_along(fine, [S2])
         assert len(cut.components) == 2
+
+
+class TestDartWords:
+    """Derived surfaces are built from dart words and number their edges
+    by first appearance, as parsing their symbol words does."""
+
+    @staticmethod
+    def assert_canonical(s):
+        p = sf.Surface.parse(s.face_words_symbols())
+        assert p.words == s.words
+        assert p.edge_names == s.edge_names
+
+    @pytest.mark.parametrize("rounds", [1, 2])
+    @pytest.mark.parametrize("name", sorted(sc.BUILDERS))
+    def test_refined_numbering_is_canonical(self, name, rounds):
+        self.assert_canonical(sc.BUILDERS[name]().surface.refined(rounds)[0])
+
+    @pytest.mark.parametrize("k", [-3, -1, 1, 3])
+    @pytest.mark.parametrize("name", ["genus2-crossing", "torus-les"])
+    def test_twisted_numbering_is_canonical(self, name, k):
+        scen = sc.BUILDERS[name]()
+        out = fl._dehn_twist(scen.surface, scen.s_curve, k,
+                             [scen.n_curve], [scen.q_curve])
+        assert out.surface is not scen.surface
+        self.assert_canonical(out.surface)
+
+    def test_gapped_out_of_order_ids(self):
+        # give the edges of a parsed surface scattered caller ids, spread
+        # over three times the range, in shuffled order
+        p = sc.genus2_crossing_scenario().surface
+        rng = np.random.default_rng(4)
+        ids = rng.permutation(3 * p.n_edges)[:p.n_edges].tolist()
+        names = [None] * (3 * p.n_edges)
+        for e, i in enumerate(ids):
+            names[i] = p.edge_names[e]
+        s = sf.Surface([[2 * ids[d // 2] + d % 2 for d in w]
+                        for w in p.words], names)
+        assert s.words == p.words and s.edge_names == p.edge_names
+        assert s.rotations == p.rotations
+        for a in ("phi", "phi_inv", "face_of", "vertex_of"):
+            assert (getattr(s, a) == getattr(p, a)).all(), a
+        assert [s.renumber[i] for i in ids] == list(range(p.n_edges))
+        assert s.renumber.count(-1) == 2 * p.n_edges
+
+    def test_names_follow_first_appearance(self):
+        # caller edge 5 appears first, so it becomes edge 0
+        s = sf.Surface([(10, 2, 11, 3)], [None, "b", None, None, None, "a"])
+        assert s.edge_names == ["a", "b"] and s.words == [(0, 2, 1, 3)]
+        assert s.face_words_symbols() == [["a", "b", "a'", "b'"]]
 
 
 class TestCohomology:
@@ -136,7 +186,7 @@ class TestCurveValidation:
             sf.Curve.from_symbols(s, ["h0_0", "h0_1", "h1_0", "h2_0"])
 
     def test_repeated_edge(self):
-        s = sf.Surface([["a", "b", "a'", "b'"]])
+        s = sf.Surface.parse([["a", "b", "a'", "b'"]])
         with pytest.raises(sf.CurveError):
             sf.Curve.from_symbols(s, ["a", "a"])
 
@@ -162,13 +212,13 @@ class TestInvolution:
         assert not diag, diag
 
     def test_identity_rejected(self):
-        s = sf.Surface([["a", "b", "a'", "b'"]])
+        s = sf.Surface.parse([["a", "b", "a'", "b'"]])
         ident = sf.Involution.from_cycles(s, [])
         diag = ident.diagnostics()
         assert any("orientation" in d for d in diag)
 
     def test_quarter_rotation_rejected(self):
-        s = sf.Surface([["a", "b", "a'", "b'"]])
+        s = sf.Surface.parse([["a", "b", "a'", "b'"]])
         rot = sf.Involution.from_cycles(s, [["a", "b", "a'", "b'"]])
         diag = rot.diagnostics()
         assert any("order" in d for d in diag)
