@@ -564,7 +564,8 @@ def _remove_bigon(l0: Curve, l1: Curve, region: Region):
     m_cross = [s2.head(2 * parts[d // 2][0]) for d in crossed]
 
     s3, spokes = s2.cone_faces(corridor_faces)
-    parts = [[s3.renumber[p] for p in ps] for ps in parts]
+    # the parts of each edge of s, numbered on s3
+    parts3 = [[s3.renumber[p] for p in ps] for ps in parts]
 
     def spoke_at(face, vertex):
         hits = [i for i, d in enumerate(s2.words[face])
@@ -578,7 +579,7 @@ def _remove_bigon(l0: Curve, l1: Curve, region: Region):
     for f, g_in, g_out in zip(corridor_faces, gates, gates[1:]):
         path += [2 * spoke_at(f, g_in), 2 * spoke_at(f, g_out) + 1]
 
-    entry = _expand([p_before], parts)
+    entry = _expand([p_before], parts3)
     if same_gate:
         l1_darts = [entry[1]] + path
     else:
@@ -587,9 +588,9 @@ def _remove_bigon(l0: Curve, l1: Curve, region: Region):
         while l1.darts[i] != p_before:
             kept.append(l1.darts[i])
             i = (i + 1) % nl1
-        exit_ = _expand([p_after], parts)
-        l1_darts = [entry[0]] + path + [exit_[1]] + _expand(kept, parts)
-    return s3, l0.mapped(s3, parts), Curve(s3, l1_darts, l1.name)
+        exit_ = _expand([p_after], parts3)
+        l1_darts = [entry[0]] + path + [exit_[1]] + _expand(kept, parts3)
+    return s3, l0.mapped(s3, parts3), Curve(s3, l1_darts, l1.name)
 
 
 def tighten_pair(l0: Curve, l1: Curve, keep_self_floer: bool = False,

@@ -134,10 +134,10 @@ def grid_torus(n: int) -> Surface:
         raise ValueError("grid size must be at least 2")
 
     def h(i, j):
-        return 2 * (j % n * n + i % n)
+        return 2 * ((j % n) * n + i % n)
 
     def v(i, j):
-        return 2 * (n * n + j % n * n + i % n)
+        return h(i, j) + 2 * n * n
 
     names = [f"{kind}{i}_{j}" for kind in "hv"
              for j in range(n) for i in range(n)]
