@@ -15,11 +15,8 @@ import argparse
 import functools
 import sys
 
-import numpy as np
-
 from . import fileformat as ff
 from . import floer as fl
-from . import gf2 as g
 from . import modelgeo as mg
 from . import pipeline as pl
 from . import surface as sf
@@ -83,12 +80,8 @@ def _run_element_a(scenario, args) -> VerificationReport:
 def _run_involution(scenario, args) -> VerificationReport:
     ind = pl.involution_action(scenario)
     verdicts = {
-        "degree0_is_permutation": bool(
-            (ind[0].sum(axis=0) == 1).all()
-            and (ind[0].sum(axis=1) == 1).all()),
-        "squares_to_identity": all(
-            bool((g.matmul(m, m) == g.eye(m.shape[0])).all())
-            for m in ind.values()),
+        "degree0_is_permutation": pl._is_permutation(ind[0]),
+        "squares_to_identity": pl._squares_to_identity(ind),
     }
     return VerificationReport(
         "involution action", scenario.description,

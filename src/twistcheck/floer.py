@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import gf2
-from .surface import (Curve, Surface, _curve_vertex_data, _expand, _mint,
-                      cut_along)
+from .surface import (Curve, Surface, _cut_cells, _expand, _face_classes,
+                      _mint, cut_along)
 
 
 class FloerError(Exception):
@@ -144,44 +144,26 @@ def _region_census(s: Surface, curves) -> list[Region]:
     curve_darts = set()
     for e in cmap:
         curve_darts.update((2 * e, 2 * e + 1))
+    phi = s.phi.tolist()
+    face_of = s.face_of.tolist()
+    vertex_of = s.vertex_of.tolist()
 
-    parent = list(range(s.n_faces))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in range(s.n_edges):
-        if e not in cmap:
-            a, b = find(int(s.face_of[2 * e])), find(int(s.face_of[2 * e + 1]))
-            if a != b:
-                parent[a] = b
-
-    region_of_face = {}
-    order = []
-    for f in range(s.n_faces):
-        r = find(f)
-        if r not in region_of_face:
-            region_of_face[r] = len(order)
-            order.append(r)
-    reg_of = [region_of_face[find(f)] for f in range(s.n_faces)]
-
-    regions = [Region(i, [], 0, [], []) for i in range(len(order))]
+    reg_of, n_regions = _face_classes(face_of, s.n_faces, cmap)
+    regions = [Region(i, [], 0, [], []) for i in range(n_regions)]
     for f in range(s.n_faces):
         regions[reg_of[f]].faces.append(f)
 
     # chi = interior vertices - interior edges + faces (sector vertices
     # and boundary edge sides cancel)
-    int_edges = [0] * len(regions)
+    int_edges = [0] * n_regions
     for e in range(s.n_edges):
         if e not in cmap:
-            int_edges[reg_of[int(s.face_of[2 * e])]] += 1
-    int_verts = [0] * len(regions)
+            int_edges[reg_of[face_of[2 * e]]] += 1
+    int_verts = [0] * n_regions
+    curve_vertices = {vertex_of[d] for d in curve_darts}
     for v, rot in enumerate(s.rotations):
-        if not any(d in curve_darts for d in rot):
-            int_verts[reg_of[int(s.face_of[rot[0] ^ 1])]] += 1
+        if v not in curve_vertices:
+            int_verts[reg_of[face_of[rot[0] ^ 1]]] += 1
     for i, r in enumerate(regions):
         r.chi = int_verts[i] - int_edges[i] + len(r.faces)
 
@@ -189,9 +171,9 @@ def _region_census(s: Surface, curves) -> list[Region]:
     # the left; the next side starts at the first curve dart clockwise
     # after the reversed incoming dart
     def next_side(d):
-        g = s.sigma(d ^ 1)
+        g = phi[d]
         while g not in curve_darts:
-            g = s.sigma(g)
+            g = phi[g ^ 1]
         return g
 
     sides = sorted(curve_darts)
@@ -205,12 +187,12 @@ def _region_census(s: Surface, curves) -> list[Region]:
             seen.add(d)
             circle.append(d)
             d = next_side(d)
-        reg = regions[reg_of[int(s.face_of[circle[0]])]]
+        reg = regions[reg_of[face_of[circle[0]]]]
         ci = len(reg.circles)
         for pos, dd in enumerate(circle):
             nd = circle[(pos + 1) % len(circle)]
             if cmap[dd // 2][0] != cmap[nd // 2][0]:
-                reg.corners.append((ci, pos, s.head(dd), dd, nd))
+                reg.corners.append((ci, pos, vertex_of[dd ^ 1], dd, nd))
         reg.circles.append(circle)
     return regions
 
@@ -373,12 +355,12 @@ def _dehn_twist(surface: Surface, s_curve: Curve, k: int, twist: list,
 
     # sides: row 0 is glued to the right of S (the side carrying the
     # reversed occurrences), row R to the left
-    _, _, at_vertex, left = _curve_vertex_data(s1, [S1])
+    corner_vertex, _ = _cut_cells(s1, [S1])
 
     def travels_up(pt) -> bool:
         # pt crosses S at its vertex; the incoming edge attaches to the
-        # side of its reversed dart
-        return (pt.l0_in ^ 1) not in left[pt.vertex]
+        # side (odd = right) of the corner before its reversed dart
+        return (corner_vertex[pt.l0_in ^ 1] - s1.n_vertices) & 1 == 1
 
     sign = 1 if k > 0 else -1
 
@@ -626,11 +608,9 @@ def _are_isotopic_disjoint(l0: Curve, l1: Curve) -> bool:
     """Disjoint embedded curves are isotopic iff they cobound an annulus
     component of the complement."""
     cut = cut_along(l0.surface, [l0, l1])
-    for comp in cut.components:
-        if comp.euler() == 0 and len(comp.boundary) == 2:
-            if {b.curve_index for b in comp.boundary} == {0, 1}:
-                return True
-    return False
+    return any(comp.is_annulus()
+               and {b.curve_index for b in comp.boundary} == {0, 1}
+               for comp in cut.components)
 
 
 def rank_hf(l0: Curve, l1: Curve) -> gf2.GradedDims:

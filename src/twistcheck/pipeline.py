@@ -38,7 +38,7 @@ import numpy as np
 from . import floer as fl
 from . import gf2 as g
 from . import surface as sf
-from .report import VerificationReport, emit_report, graded, matrix
+from .report import VerificationReport, graded, matrix
 from .scenarios import TwistScenario
 
 __all__ = [
@@ -50,7 +50,6 @@ __all__ = [
     "involution_action",
     "verify_theorem_A",
     "les_rank_check",
-    "emit_report",
     "chi2",
 ]
 
@@ -80,10 +79,10 @@ def cut_along_s(scenario: TwistScenario) -> sf.CutResult:
 
     A contractible S is rejected off this same cut: a closed curve is
     contractible exactly when cutting along it leaves a disk, the test
-    Curve.is_contractible runs.
+    (CutResult.has_disk) that Curve.is_contractible runs.
     """
     cut = sf.cut_along(scenario.surface, [scenario.s_curve])
-    if any(c.euler() == 1 for c in cut.components):
+    if cut.has_disk():
         raise PipelineError("the twist curve S must be noncontractible")
     return cut
 
@@ -129,6 +128,11 @@ def _is_permutation(m: np.ndarray) -> bool:
     return bool((m.sum(axis=0) == 1).all() and (m.sum(axis=1) == 1).all())
 
 
+def _squares_to_identity(ind: Dict[int, np.ndarray]) -> bool:
+    return all(bool((g.matmul(m, m) == g.eye(m.shape[0])).all())
+               for m in ind.values())
+
+
 def verify_theorem_A(scenario: TwistScenario) -> VerificationReport:
     """The fixed-point statement: c* fixes the distinguished class A.
 
@@ -146,9 +150,7 @@ def verify_theorem_A(scenario: TwistScenario) -> VerificationReport:
         "a_nonzero": bool(a.vector.any()),
         "c_star_fixes_a": bool((image == a.vector).all()),
         "degree0_is_permutation": _is_permutation(m0),
-        "c_star_squares_to_identity": all(
-            bool((g.matmul(m, m) == g.eye(m.shape[0])).all())
-            for m in ind.values()),
+        "c_star_squares_to_identity": _squares_to_identity(ind),
     }
     data = {
         "ranks": graded(dims),

@@ -15,6 +15,12 @@ back.  Edge symbols (a name, plus a trailing apostrophe for the reversed
 dart) are read at the input edge only, by Surface.parse, Surface.dart,
 Curve.from_symbols and Involution.from_cycles, and written at the output
 edge only, by Surface.symbol.
+
+Cutting along curves numbers its cells from the same darts: corner d
+(of d's face, at tail(d)) lies on a cut vertex, dart d on a cut edge,
+and a curve vertex or edge becomes two integers, one per side (see
+cut_along).  A closed surface is its cut along no curves, so cochains,
+cohomology and induced maps are all built on the cut.
 """
 
 from __future__ import annotations
@@ -355,8 +361,7 @@ class Curve:
                      self.name if name is None else name)
 
     def is_contractible(self) -> bool:
-        cut = cut_along(self.surface, [self])
-        return any(c.euler() == 1 for c in cut.components)
+        return cut_along(self.surface, [self]).has_disk()
 
     def __len__(self):
         return len(self.darts)
@@ -369,22 +374,23 @@ class Curve:
 @dataclass
 class BoundaryCircle:
     curve_index: int
-    edge_labels: list
+    side: int
 
 
 @dataclass
 class CutComponent:
-    """Connected surface piece with boundary, as an abstract cell complex.
+    """Connected piece of a cut surface, as an abstract cell complex.
 
-    Cell labels remember their origin: ("v", v) original vertex,
-    ("vc", v, side) duplicated curve vertex, ("e", e) untouched edge,
-    ("ec", e, side) duplicated curve edge; side 0 is the left of the
-    oriented cut curve.
+    Cells are the integers cut_along gives them.  vertices lists the cut
+    vertices in increasing order, edges maps each cut edge to its (tail,
+    head) cut vertices in increasing edge order, and faces lists
+    (face, cut edges of its boundary word) in increasing face order.
+    boundary holds one circle per (curve, side) pair on this piece.
     """
 
-    vertices: list
-    edges: dict
-    faces: list
+    vertices: list = field(default_factory=list)
+    edges: dict = field(default_factory=dict)
+    faces: list = field(default_factory=list)
     boundary: list = field(default_factory=list)
 
     def euler(self) -> int:
@@ -394,40 +400,38 @@ class CutComponent:
         return self.euler() == 0 and len(self.boundary) == 2
 
     def cochain_complex(self) -> gf2.ChainComplex:
-        vs = sorted(self.vertices)
-        es = sorted(self.edges)
-        vi = {v: i for i, v in enumerate(vs)}
-        ei = {e: i for i, e in enumerate(es)}
-        d0 = gf2.zeros(len(es), len(vs))
-        for e, (t, h) in self.edges.items():
+        vi = {v: i for i, v in enumerate(self.vertices)}
+        ei = {e: i for i, e in enumerate(self.edges)}
+        d0 = gf2.zeros(len(ei), len(vi))
+        for i, (t, h) in enumerate(self.edges.values()):
             if t != h:
-                d0[ei[e], vi[t]] = 1
-                d0[ei[e], vi[h]] = 1
-        d1 = gf2.zeros(len(self.faces), len(es))
-        for fi, (_, labels) in enumerate(self.faces):
-            for lab in labels:
-                d1[fi, ei[lab]] ^= 1
-        return gf2.ChainComplex({0: len(vs), 1: len(es), 2: len(self.faces)},
+                d0[i, vi[t]] = 1
+                d0[i, vi[h]] = 1
+        d1 = gf2.zeros(len(self.faces), len(ei))
+        for fi, (_, word) in enumerate(self.faces):
+            for e in word:
+                d1[fi, ei[e]] ^= 1
+        return gf2.ChainComplex({0: len(vi), 1: len(ei), 2: len(self.faces)},
                                 {0: d0, 1: d1})
-
-    def sorted_cells(self):
-        return sorted(self.vertices), sorted(self.edges), \
-            [f for f, _ in self.faces]
 
 
 @dataclass
 class CutResult:
-    """A surface cut along disjoint curves: the components, plus the
-    curve-vertex data of _curve_vertex_data that involution maps read."""
+    """A surface cut along disjoint curves: the components, plus the cut
+    vertex of every corner and the cut edge of every dart (cut_along)."""
 
     surface: Surface
     curves: list
     components: list
-    curve_dart: dict
-    at_vertex: dict
-    left: dict
+    vertex_of_corner: list
+    edge_of_dart: list
     _complex: tuple | None = field(default=None, init=False, repr=False,
                                    compare=False)
+
+    def has_disk(self) -> bool:
+        """Whether some piece is a disk, which is how a closed curve
+        shows that it is contractible."""
+        return any(c.euler() == 1 for c in self.components)
 
     def cochain_complex(self):
         """Block complex over all components, component-major cell order.
@@ -464,200 +468,141 @@ class CutResult:
         return gf2.ChainComplex(dims, diffs, check=False), offsets
 
     def cell_index(self):
-        """Global (degree, label) -> index maps in the block ordering."""
-        v_idx, e_idx, f_idx = {}, {}, {}
-        nv = ne = nf = 0
-        for comp in self.components:
-            vs, es, fs = comp.sorted_cells()
-            for lab in vs:
-                v_idx[lab] = nv
-                nv += 1
-            for lab in es:
-                e_idx[lab] = ne
-                ne += 1
-            for lab in fs:
-                f_idx[lab] = nf
-                nf += 1
-        return v_idx, e_idx, f_idx
+        """Per degree, an array from cut cell to its index in the block
+        ordering (-1 where the integer names no cell)."""
+        s = self.surface
+        cells = ([v for c in self.components for v in c.vertices],
+                 [e for c in self.components for e in c.edges],
+                 [f for c in self.components for f, _ in c.faces])
+        out = []
+        for size, ids in zip((3 * s.n_vertices, 3 * s.n_edges, s.n_faces),
+                             cells):
+            pos = np.full(size, -1, dtype=np.int64)
+            pos[ids] = np.arange(len(ids))
+            out.append(pos)
+        return out
 
 
-def _curve_vertex_data(surface: Surface, curves):
-    """Per cut-curve vertex: darts and the left sector of the rotation."""
-    curve_dart = {}
-    curve_of_edge = {}
-    at_vertex = {}
-    for ci, cur in enumerate(curves):
-        for i, d in enumerate(cur.darts):
-            curve_dart[d // 2] = d
-            curve_of_edge[d // 2] = ci
-            nxt = cur.darts[(i + 1) % len(cur.darts)]
-            v = surface.head(d)
-            if v in at_vertex:
+def _face_classes(face_of: list, n_faces: int, cut_edges):
+    """Classes of faces glued across the edges not in cut_edges.
+
+    Returns (class of each face, number of classes), classes numbered in
+    the order of their first face.
+    """
+    parent = list(range(n_faces))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for e in range(len(face_of) // 2):
+        if e not in cut_edges:
+            a, b = find(face_of[2 * e]), find(face_of[2 * e + 1])
+            if a != b:
+                parent[a] = b
+    number: dict[int, int] = {}
+    cls = [number.setdefault(find(f), len(number)) for f in range(n_faces)]
+    return cls, len(number)
+
+
+def _cut_cells(surface: Surface, curves):
+    """(vertex_of_corner, edge_of_dart) of the cut along curves; see
+    cut_along for the numbering."""
+    nv, ne = surface.n_vertices, surface.n_edges
+    phi = surface.phi.tolist()
+    vertex_of = surface.vertex_of.tolist()
+    vertex_of_corner = list(vertex_of)
+    edge_of_dart = [d >> 1 for d in range(2 * ne)]
+    seen = set()
+    for cur in curves:
+        darts = cur.darts
+        for din, dout in zip(darts[-1:] + darts[:-1], darts):
+            v = vertex_of[dout]
+            if v in seen:
                 raise CurveError("cut curves must be disjoint and embedded")
-            at_vertex[v] = (ci, d, nxt)
-    # sigma runs clockwise, so the left side of the curve is swept out
-    # between the reversed incoming dart and the outgoing dart
-    left = {}
-    for v, (ci, din, dout) in at_vertex.items():
-        sector = set()
-        d = surface.sigma(din ^ 1)
-        while d != dout:
-            if d == (din ^ 1):
-                raise CurveError("curve darts missing from the rotation")
-            sector.add(d)
-            d = surface.sigma(d)
-        left[v] = sector
-    return curve_dart, curve_of_edge, at_vertex, left
+            seen.add(v)
+            e = din >> 1
+            edge_of_dart[din] = ne + 2 * e
+            edge_of_dart[din ^ 1] = ne + 2 * e + 1
+            # sigma runs clockwise: after dout the corners up to and
+            # including din' lie right of the curve, the rest left
+            side, d = 1, dout
+            while True:
+                d = phi[d ^ 1]
+                vertex_of_corner[d] = nv + 2 * v + side
+                if d == dout:
+                    break
+                if d == din ^ 1:
+                    side = 0
+    return vertex_of_corner, edge_of_dart
 
 
 def cut_along(surface: Surface, curves) -> CutResult:
     """Cut the surface open along disjoint embedded curves.
 
-    Every curve vertex and edge is duplicated into a left and a right
-    copy (side 0 = left of the oriented curve); faces keep their
-    boundary words with curve-edge occurrences resolved by side.
+    Cut cells are integers read off the darts.  Corner d, the corner of
+    d's face at tail(d) just before d clockwise, lies at cut vertex
+    tail(d) when that vertex is off the curves, and at n_vertices +
+    2v + side at a curve vertex v, side 0 being the left of the oriented
+    curve.  Dart d lies on cut edge e = d // 2 when e is off the curves,
+    and on the copy n_edges + 2e + side of a curve edge, side 0 being
+    the copy of the curve's own dart; it runs from the cut vertex of
+    corner d to that of corner phi(d).  So each piece lists its plain
+    cells before the copies, copies by (v or e, side).  The pieces are
+    the classes of faces glued across edges off the curves, ordered by
+    their least vertex 2v + side (side 0 for a plain vertex).  Cutting
+    along no curves gives the closed surface as one piece.
     """
-    if isinstance(curves, Curve):
-        curves = [curves]
-    curve_dart, curve_of_edge, at_vertex, left = \
-        _curve_vertex_data(surface, curves)
+    nv = surface.n_vertices
+    vertex_of_corner, edge_of_dart = _cut_cells(surface, curves)
+    phi = surface.phi.tolist()
+    face_of = surface.face_of.tolist()
+    cls, n_comp = _face_classes(face_of, surface.n_faces,
+                                {d >> 1 for cur in curves for d in cur.darts})
 
-    def vlabel(d):
-        v = surface.tail(d)
-        if v not in at_vertex:
-            return ("v", v)
-        return ("vc", v, 0 if d in left[v] else 1)
+    pieces = [CutComponent() for _ in range(n_comp)]
+    first = [float("inf")] * n_comp
+    piece_of_vertex = {}
+    for d, x in enumerate(vertex_of_corner):
+        k = piece_of_vertex[x] = cls[face_of[d]]
+        first[k] = min(first[k], 2 * x if x < nv else x - nv)
+    for x in sorted(piece_of_vertex):
+        pieces[piece_of_vertex[x]].vertices.append(x)
+    # one dart per cut edge: both darts of a plain edge lie on it
+    for x, d in sorted((x, d) for d, x in enumerate(edge_of_dart)
+                       if x >= surface.n_edges or not d & 1):
+        pieces[cls[face_of[d]]].edges[x] = (vertex_of_corner[d],
+                                             vertex_of_corner[phi[d]])
+    for fi, w in enumerate(surface.words):
+        pieces[cls[fi]].faces.append((fi, tuple(edge_of_dart[d] for d in w)))
+    for ci, cur in enumerate(curves):
+        for side in (0, 1):
+            pieces[cls[face_of[cur.darts[0] ^ side]]].boundary.append(
+                BoundaryCircle(ci, side))
 
-    edges = {}
-    for e in range(surface.n_edges):
-        if e in curve_dart:
-            dc = curve_dart[e]
-            u, w = surface.tail(dc), surface.head(dc)
-            for side in (0, 1):
-                edges[("ec", e, side)] = (("vc", u, side), ("vc", w, side))
-        else:
-            edges[("e", e)] = (vlabel(2 * e), vlabel(2 * e + 1))
-
-    def elabel(d):
-        e = d // 2
-        if e in curve_dart:
-            return ("ec", e, 0 if d == curve_dart[e] else 1)
-        return ("e", e)
-
-    faces = [(fi, tuple(elabel(d) for d in w))
-             for fi, w in enumerate(surface.words)]
-
-    # union-find over vertex labels
-    parent = {}
-
-    def find(x):
-        while parent.setdefault(x, x) != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    all_vlabels = []
-    for v in range(surface.n_vertices):
-        if v in at_vertex:
-            all_vlabels += [("vc", v, 0), ("vc", v, 1)]
-        else:
-            all_vlabels.append(("v", v))
-    for lab in all_vlabels:
-        find(lab)
-    for t, h in edges.values():
-        union(t, h)
-
-    comp_of = {}
-    order = []
-    for lab in all_vlabels:
-        r = find(lab)
-        if r not in comp_of:
-            comp_of[r] = len(order)
-            order.append(r)
-    n_comp = len(order)
-    comps = [CutComponent([], {}, []) for _ in range(n_comp)]
-    for lab in all_vlabels:
-        comps[comp_of[find(lab)]].vertices.append(lab)
-    for lab, (t, h) in edges.items():
-        comps[comp_of[find(t)]].edges[lab] = (t, h)
-    for fi, labels in faces:
-        t = edges[labels[0]][0]
-        comps[comp_of[find(t)]].faces.append((fi, labels))
-
-    # boundary circles: the duplicated curve-edge copies, one circle per
-    # (curve, side) pair of each component
-    for comp in comps:
-        incident = {}
-        for lab in comp.edges:
-            if lab[0] != "ec":
-                continue
-            t, h = comp.edges[lab]
-            incident.setdefault(t, []).append(lab)
-            incident.setdefault(h, []).append(lab)
-        used = set()
-        for lab in sorted(comp.edges):
-            if lab[0] != "ec" or lab in used:
-                continue
-            circle = [lab]
-            used.add(lab)
-            t, h = comp.edges[lab]
-            cur = h
-            while cur != t:
-                nxt = [x for x in incident[cur] if x not in used]
-                if not nxt:
-                    raise SurfaceError("broken boundary circle")
-                circle.append(nxt[0])
-                used.add(nxt[0])
-                a, b = comp.edges[nxt[0]]
-                cur = b if a == cur else a
-            comp.boundary.append(
-                BoundaryCircle(curve_of_edge[circle[0][1]], circle))
-
-    result = CutResult(surface, list(curves), comps, curve_dart, at_vertex,
-                       left)
+    comps = [pieces[k] for k in sorted(range(n_comp), key=first.__getitem__)]
     if sum(c.euler() for c in comps) != surface.euler():
         raise SurfaceError("cut bookkeeping lost Euler characteristic")
-    return result
+    return CutResult(surface, list(curves), comps, vertex_of_corner,
+                     edge_of_dart)
 
 
 # ---------------------------------------------------------------------------
 # cohomology
 
 
-def surface_cochain_complex(x: Surface) -> gf2.ChainComplex:
-    d0 = gf2.zeros(x.n_edges, x.n_vertices)
-    for e in range(x.n_edges):
-        t, h = x.tail(2 * e), x.head(2 * e)
-        if t != h:
-            d0[e, t] = 1
-            d0[e, h] = 1
-    d1 = gf2.zeros(x.n_faces, x.n_edges)
-    for fi, w in enumerate(x.words):
-        for d in w:
-            d1[fi, d // 2] ^= 1
-    return gf2.ChainComplex({0: x.n_vertices, 1: x.n_edges, 2: x.n_faces},
-                            {0: d0, 1: d1})
-
-
 def cellular_cohomology(x) -> gf2.GradedDims:
-    """Cohomology ranks of a closed surface, cut result, or component.
+    """Cohomology ranks of a closed surface or a cut result.
 
-    Degree-0 classes are component indicator cochains; for a CutResult
-    the block ordering makes the deterministic homology basis exactly the
-    per-component indicators.
+    A closed surface is its cut along no curves.  Degree-0 classes are
+    component indicator cochains: the block ordering makes the
+    deterministic homology basis exactly the per-component indicators.
     """
     if isinstance(x, Surface):
-        return surface_cochain_complex(x).homology()
-    if isinstance(x, CutResult):
-        return x.cochain_complex()[0].homology()
-    if isinstance(x, CutComponent):
-        return x.cochain_complex().homology()
-    raise TypeError(f"cannot compute cohomology of {type(x).__name__}")
+        x = cut_along(x, [])
+    return x.cochain_complex()[0].homology()
 
 
 # ---------------------------------------------------------------------------
@@ -727,22 +672,8 @@ class Involution:
         if diag:
             raise InvolutionError("; ".join(diag))
 
-    def on_vertex(self, v: int) -> int:
-        s = self.surface
-        imgs = {s.tail(self.on_dart(d)) for d in s.rotations[v]}
-        if len(imgs) != 1:
-            raise InvolutionError("vertex image not well defined")
-        return imgs.pop()
-
     def on_edge(self, e: int) -> int:
         return self.on_dart(2 * e) // 2
-
-    def on_face(self, fi: int) -> int:
-        s = self.surface
-        imgs = {int(s.face_of[self.on_dart(d) ^ 1]) for d in s.words[fi]}
-        if len(imgs) != 1:
-            raise InvolutionError("face image not well defined")
-        return imgs.pop()
 
     def preserves_curve(self, curve: Curve) -> bool:
         return frozenset(self.on_edge(e) for e in curve.edges) == curve.edges
@@ -760,56 +691,25 @@ def involution_induced_map(cut: CutResult, c: Involution):
         raise InvolutionError(
             "the involution does not preserve the twist curve")
     x = cut.surface
-    curve_dart, at_vertex, left = cut.curve_dart, cut.at_vertex, cut.left
-
-    def edge_copy_image(e, side):
-        f = c.on_edge(e)
-        dc = curve_dart[e]
-        img_occ = c.on_dart(dc) ^ 1  # occurrence correspondence d -> alpha(psi(d))
-        s0 = 0 if img_occ == curve_dart[f] else 1
-        return ("ec", f, s0 if side == 0 else 1 - s0)
-
-    def vertex_label_image(lab):
-        if lab[0] == "v":
-            return ("v", c.on_vertex(lab[1]))
-        _, v, side = lab
-        w = c.on_vertex(v)
-        din, dout = at_vertex[v][1], at_vertex[v][2]
-        if side == 0:
-            sector = sorted(left[v])
-        else:
-            sector = [d for d in x.rotations[v]
-                      if d not in left[v] and d not in (dout, din ^ 1)]
-        if sector:
-            sides = {0 if c.on_dart(d) in left[w] else 1 for d in sector}
-            if len(sides) != 1:
-                raise InvolutionError("cut vertex image not well defined")
-            return ("vc", w, sides.pop())
-        # empty sector: the copy is still an endpoint of the outgoing
-        # curve-edge copy, whose image fixes the side
-        return ("vc", w, edge_copy_image(dout // 2, side)[2])
-
-    def edge_label_image(lab):
-        if lab[0] == "e":
-            return ("e", c.on_edge(lab[1]))
-        return edge_copy_image(lab[1], lab[2])
-
-    v_idx, e_idx, f_idx = cut.cell_index()
-    p0 = gf2.zeros(len(v_idx), len(v_idx))
-    for lab, j in v_idx.items():
-        img = vertex_label_image(lab)
-        if img is None or img not in v_idx:
-            raise InvolutionError("cut vertex image not well defined")
-        p0[v_idx[img], j] = 1
-    p1 = gf2.zeros(len(e_idx), len(e_idx))
-    for lab, j in e_idx.items():
-        p1[e_idx[edge_label_image(lab)], j] = 1
-    p2 = gf2.zeros(len(f_idx), len(f_idx))
-    for lab, j in f_idx.items():
-        p2[f_idx[c.on_face(lab)], j] = 1
-
+    # c reverses orientation: it maps dart d of face f to psi(d)' in face
+    # c(f), and corner d to corner psi(phi^-1(d))'
+    img = c.psi ^ 1
+    cells = ((cut.vertex_of_corner, img[x.phi_inv]),
+             (cut.edge_of_dart, img), (x.face_of, img))
     cx, _ = cut.cochain_complex()
-    # pullback on cochains is the transpose of the cell permutation;
-    # induced_map checks that it is a chain map
-    chain = gf2.ChainMap(cx, cx, {0: p0.T, 1: p1.T, 2: p2.T}, check=False)
+    pullback = {}
+    for k, (pos, (cell_of, to)) in enumerate(zip(cut.cell_index(), cells)):
+        cell_of = np.asarray(cell_of)
+        src, dst = pos[cell_of], pos[cell_of[to]]
+        image = np.empty(cx.dims[k], dtype=np.int64)
+        image[src] = dst
+        if (image[src] != dst).any():
+            raise InvolutionError(
+                f"cut cell image not well defined in degree {k}")
+        # pullback on cochains is the transpose of the cell permutation;
+        # induced_map checks that it is a chain map
+        m = gf2.zeros(len(image), len(image))
+        m[np.arange(len(image)), image] = 1
+        pullback[k] = m
+    chain = gf2.ChainMap(cx, cx, pullback, check=False)
     return gf2.induced_map(chain)

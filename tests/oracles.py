@@ -116,6 +116,45 @@ def oracle_induced_matrix(ker_s, img_s, ker_t, img_t, f_mat,
     return out
 
 
+def component_permutation(surface, curve, psi):
+    """Action of a cellular involution on the pieces of surface cut along
+    curve, by breadth-first search over faces.
+
+    Two faces are in one piece when a chain of faces joins them, each
+    sharing with the next an edge off the curve.  An orientation-reversing
+    involution with dart map psi sends the face holding dart d to the face
+    holding the reverse of psi(d).  Returns (pieces, m): pieces is a list
+    of frozensets of faces ordered by least face, and m[i, j] = 1 when
+    piece j goes to piece i.
+    """
+    face_of = {}
+    for f, word in enumerate(surface.words):
+        for d in word:
+            face_of[d] = f
+    cut = {d // 2 for d in curve.darts}
+    piece_of = {}
+    pieces = []
+    for start in range(len(surface.words)):
+        if start in piece_of:
+            continue
+        piece_of[start] = len(pieces)
+        members, queue = [start], [start]
+        while queue:
+            f = queue.pop(0)
+            for d in surface.words[f]:
+                g = face_of[d ^ 1]
+                if d // 2 not in cut and g not in piece_of:
+                    piece_of[g] = len(pieces)
+                    members.append(g)
+                    queue.append(g)
+        pieces.append(frozenset(members))
+    m = np.zeros((len(pieces), len(pieces)), dtype=np.uint8)
+    for j, piece in enumerate(pieces):
+        f = min(piece)
+        m[piece_of[face_of[int(psi[surface.words[f][0]]) ^ 1]], j] = 1
+    return pieces, m
+
+
 def flat_torus_crossings(a, b, c, d):
     """Minimal crossing number of flat-torus lines of classes (a, b) and
     (c, d): the absolute value of the determinant."""

@@ -6,6 +6,8 @@ from twistcheck import gf2 as g
 from twistcheck import scenarios as sc
 from twistcheck import surface as sf
 
+from oracles import component_permutation
+
 
 def polygon_surface(genus):
     word = []
@@ -171,6 +173,38 @@ class TestCut:
         assert len(cut.components) == 1
         assert cut.components[0].euler() == -2
 
+    @pytest.mark.parametrize("n, rows", [(5, [0, 2]), (6, [0, 3]),
+                                         (6, [1, 2, 4]), (7, [0, 3, 5])])
+    def test_disjoint_rows_give_annuli(self, n, rows):
+        # row i runs in +x, so its left side (0) faces the next row up,
+        # which meets that annulus on its right side (1)
+        s = sc.grid_torus(n)
+        k = len(rows)
+        cut = sf.cut_along(s, [sc.grid_row(s, n, j) for j in rows])
+        assert len(cut.components) == k
+        for c in cut.components:
+            assert c.is_annulus()
+            assert c.cochain_complex().homology().dims == {0: 1, 1: 1}
+        circles = {frozenset((b.curve_index, b.side) for b in c.boundary)
+                   for c in cut.components}
+        assert circles == {frozenset({(i, 0), ((i + 1) % k, 1)})
+                           for i in range(k)}
+
+    def test_genus2_along_both_betas(self):
+        scen = sc.genus2_scenario()
+        cut = sf.cut_along(scen.surface,
+                           [scen.curve("beta1"), scen.curve("beta2")])
+        assert len(cut.components) == 1
+        comp = cut.components[0]
+        assert comp.euler() == -2
+        assert sorted((b.curve_index, b.side) for b in comp.boundary) == \
+            [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+    def test_curves_sharing_a_vertex_rejected(self):
+        s = sc.grid_torus(4)
+        with pytest.raises(sf.CurveError):
+            sf.cut_along(s, [sc.grid_row(s, 4, 0), sc.grid_col(s, 4, 2)])
+
     def test_contractibility(self):
         s = sc.grid_torus(4)
         square = sc.grid_path_curve(s, 4, [(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -247,6 +281,28 @@ class TestInvolution:
         ind = sf.involution_induced_map(
             sf.cut_along(scen.surface, [scen.s_curve]), scen.involution)
         assert (ind[0] == g.eye(1)).all()
+
+    @staticmethod
+    def _assert_degree0_matches_oracle(scen):
+        cut = sf.cut_along(scen.surface, [scen.s_curve])
+        m0 = sf.involution_induced_map(cut, scen.involution)[0]
+        pieces, want = component_permutation(
+            scen.surface, scen.s_curve, scen.involution.psi)
+        faces = [frozenset(f for f, _ in c.faces) for c in cut.components]
+        assert sorted(faces, key=min) == pieces, scen.description
+        at = [pieces.index(f) for f in faces]
+        assert (m0 == want[np.ix_(at, at)]).all(), scen.description
+
+    def test_degree0_matches_oracle_on_corpus(self):
+        for scen in (sc.torus_scenario(), sc.genus2_scenario(),
+                     sc.genus2_scenario(component_preserving=True),
+                     sc.genus3_scenario()):
+            self._assert_degree0_matches_oracle(scen)
+
+    def test_degree0_matches_oracle_on_randomized(self):
+        rng = np.random.default_rng(20261019)
+        for _ in range(50):
+            self._assert_degree0_matches_oracle(sc.randomized_scenario(rng))
 
     def test_induced_squares_to_identity(self):
         for scen in (sc.torus_scenario(), sc.genus2_scenario(),
