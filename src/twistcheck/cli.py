@@ -154,6 +154,8 @@ def _model_profile(args) -> mg.ProfileFunction:
 def _run_model(args) -> VerificationReport:
     if args.samples < 1:
         raise CliError("--samples must be at least 1")
+    if args.tolerance is not None and not 0 <= args.tolerance < float("inf"):
+        raise CliError("--tolerance must be a finite number >= 0")
     checks = MODEL_CHECKS if args.check == "all" else (args.check,)
     nu = _model_profile(args)
     reports = []

@@ -144,9 +144,7 @@ def _region_census(s: Surface, curves) -> list[Region]:
     curve_darts = set()
     for e in cmap:
         curve_darts.update((2 * e, 2 * e + 1))
-    phi = s.phi.tolist()
-    face_of = s.face_of.tolist()
-    vertex_of = s.vertex_of.tolist()
+    phi, face_of, vertex_of = s.phi, s.face_of, s.vertex_of
 
     reg_of, n_regions = _face_classes(face_of, s.n_faces, cmap)
     regions = [Region(i, [], 0, [], []) for i in range(n_regions)]
@@ -413,11 +411,11 @@ def _walk_sector(s: Surface, start: int, stop: int):
     """Darts strictly between start and stop in clockwise order, plus
     the corner faces from the start side to the stop side."""
     darts = []
-    faces = [int(s.face_of[start ^ 1])]
+    faces = [s.face_of[start ^ 1]]
     d = s.sigma(start)
     while d != stop:
         darts.append(d)
-        faces.append(int(s.face_of[d ^ 1]))
+        faces.append(s.face_of[d ^ 1])
         d = s.sigma(d)
     return darts, faces
 

@@ -301,7 +301,9 @@ class ResidualReport:
 
     @property
     def max_residual(self) -> float:
-        return max(self.residuals.values()) if self.residuals else 0.0
+        # np.max, unlike max, propagates a NaN wherever it stands
+        return (float(np.max(list(self.residuals.values())))
+                if self.residuals else 0.0)
 
     @property
     def passed(self) -> bool:
@@ -313,7 +315,7 @@ class ResidualReport:
             "samples": self.samples,
             "residuals": {k: float(v)
                           for k, v in sorted(self.residuals.items())},
-            "max_residual": float(self.max_residual),
+            "max_residual": self.max_residual,
         }
         if self.tolerance is not None:
             out["tolerance"] = float(self.tolerance)
@@ -609,7 +611,7 @@ def verify_suspension_symmetry(kind: str, nu0: ProfileFunction,
                            _batch_dist(qB, pB, qw, pw))))}
 
         for key, value in _blockwise_max(block, rows).items():
-            residuals[key] = max(residuals[key], value)
+            residuals[key] = float(np.maximum(residuals[key], value))
 
     return ResidualReport(
         name="suspension-symmetry",
@@ -734,12 +736,12 @@ def verify_model_twist(nu: ProfileFunction, dim: int, samples: int = 10000,
     def block(b):
         q2, p2 = twist(q[b], p[b])
         return {
-            "invariants": max(
-                float(np.max(np.abs(np.linalg.norm(q2, axis=1) - 1.0))),
-                float(np.max(np.abs(np.sum(q2 * p2, axis=1)))),
-                float(np.max(np.abs(np.linalg.norm(p2, axis=1)
-                                    - np.linalg.norm(p[b], axis=1)))),
-            ),
+            "invariants": float(np.max([
+                np.max(np.abs(np.linalg.norm(q2, axis=1) - 1.0)),
+                np.max(np.abs(np.sum(q2 * p2, axis=1))),
+                np.max(np.abs(np.linalg.norm(p2, axis=1)
+                              - np.linalg.norm(p[b], axis=1))),
+            ])),
             "symplectic": _symplectic_residual(twist, q[b], p[b], q2, +1.0,
                                                step=fd_step),
         }
@@ -748,8 +750,8 @@ def verify_model_twist(nu: ProfileFunction, dim: int, samples: int = 10000,
 
     qz = q[: min(samples, 256)]
     qz2, pz2 = _twist(qz, np.zeros_like(qz), nu)
-    zero_res = max(float(np.max(np.abs(qz2 + qz))),
-                   float(np.max(np.abs(pz2))))
+    zero_res = float(np.max([np.max(np.abs(qz2 + qz)),
+                             np.max(np.abs(pz2))]))
 
     qf2, pf2 = _twist(qf, pf, nu)
     ident_res = float(np.max(_batch_dist(qf, pf, qf2, pf2)))
@@ -826,9 +828,9 @@ def verify_involution_splitting(kind: str, nu: ProfileFunction, dim: int,
     # the involution also on the zero section
     qz = q[: min(samples, 256)]
     qb, pb = ctilde(*ctilde(qz, np.zeros_like(qz)))
-    residuals["involution"] = max(residuals["involution"],
-                                  float(np.max(np.abs(qb - qz))),
-                                  float(np.max(np.abs(pb))))
+    residuals["involution"] = float(np.max([residuals["involution"],
+                                            np.max(np.abs(qb - qz)),
+                                            np.max(np.abs(pb))]))
 
     return ResidualReport(
         name="involution-splitting",

@@ -93,7 +93,8 @@ def hf_inverse_twist(scenario: TwistScenario
 
     Returns the cellular cohomology of the surface cut along S together
     with the cut itself, whose component list is the distinguished
-    degree-0 basis.
+    degree-0 basis.  No elimination: every piece is compact, connected,
+    orientable and has boundary, so adds 1 to H^0 and 1 - chi to H^1.
     """
     cut = cut_along_s(scenario)
     return sf.cellular_cohomology(cut), cut

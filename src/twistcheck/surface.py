@@ -19,8 +19,11 @@ edge only, by Surface.symbol.
 Cutting along curves numbers its cells from the same darts: corner d
 (of d's face, at tail(d)) lies on a cut vertex, dart d on a cut edge,
 and a curve vertex or edge becomes two integers, one per side (see
-cut_along).  A closed surface is its cut along no curves, so cochains,
-cohomology and induced maps are all built on the cut.
+cut_along).  A closed surface is its cut along no curves.  The pieces
+are compact, connected and orientable, so cohomology ranks over GF(2)
+are read off them: each piece has H^0 = 1, H^2 = 0 if it has boundary
+(1 if not), and H^1 = H^0 + H^2 - chi.  Only an involution's induced
+map builds and row-reduces a cochain complex, for its printed basis.
 """
 
 from __future__ import annotations
@@ -112,11 +115,13 @@ class Surface:
 
         seen = [0] * n_darts
         phi = [0] * n_darts
+        phi_inv = [0] * n_darts
         face_of = [0] * n_darts
         for fi, w in enumerate(dart_words):
             for d, nxt in zip(w, w[1:] + w[:1]):
                 seen[d] += 1
                 phi[d] = nxt
+                phi_inv[nxt] = d
                 face_of[d] = fi
         for e, name in enumerate(edge_names):
             total = seen[2 * e] + seen[2 * e + 1]
@@ -161,11 +166,10 @@ class Surface:
                 raise DisconnectedError(
                     "the face words describe a disconnected surface")
 
-        self.phi = np.array(phi, dtype=np.int64)
-        self.phi_inv = np.empty(n_darts, dtype=np.int64)
-        self.phi_inv[self.phi] = np.arange(n_darts)
-        self.face_of = np.array(face_of, dtype=np.int64)
-        self.vertex_of = np.array(vertex_of, dtype=np.int64)
+        self.phi = phi
+        self.phi_inv = phi_inv
+        self.face_of = face_of
+        self.vertex_of = vertex_of
 
     @classmethod
     def parse(cls, face_words):
@@ -187,14 +191,14 @@ class Surface:
         return {name: e for e, name in enumerate(self.edge_names)}
 
     def tail(self, d: int) -> int:
-        return int(self.vertex_of[d])
+        return self.vertex_of[d]
 
     def head(self, d: int) -> int:
-        return int(self.vertex_of[d ^ 1])
+        return self.vertex_of[d ^ 1]
 
     def sigma(self, d: int) -> int:
         """Next outgoing dart clockwise at tail(d)."""
-        return int(self.phi[d ^ 1])
+        return self.phi[d ^ 1]
 
     def dart(self, sym: str) -> int:
         name, prime = parse_symbol(sym)
@@ -425,26 +429,14 @@ class CutResult:
     components: list
     vertex_of_corner: list
     edge_of_dart: list
-    _complex: tuple | None = field(default=None, init=False, repr=False,
-                                   compare=False)
 
     def has_disk(self) -> bool:
         """Whether some piece is a disk, which is how a closed curve
         shows that it is contractible."""
         return any(c.euler() == 1 for c in self.components)
 
-    def cochain_complex(self):
-        """Block complex over all components, component-major cell order.
-
-        Returns (complex, offsets) where offsets[k] lists the starting
-        index of each component block in degree k.  Built on the first
-        call; later calls return the same complex.
-        """
-        if self._complex is None:
-            self._complex = self._block_complex()
-        return self._complex
-
-    def _block_complex(self):
+    def cochain_complex(self) -> gf2.ChainComplex:
+        """Block complex over all components, component-major cell order."""
         parts = [c.cochain_complex() for c in self.components]
         dims = {k: sum(p.dims[k] for p in parts) for k in (0, 1, 2)}
         diffs = {}
@@ -457,15 +449,8 @@ class CutResult:
                 r += blk.shape[0]
                 c0 += blk.shape[1]
             diffs[k] = m
-        offsets = {}
-        for k in (0, 1, 2):
-            offs, acc = [], 0
-            for p in parts:
-                offs.append(acc)
-                acc += p.dims[k]
-            offsets[k] = offs
         # every block was checked when its component complex was built
-        return gf2.ChainComplex(dims, diffs, check=False), offsets
+        return gf2.ChainComplex(dims, diffs, check=False)
 
     def cell_index(self):
         """Per degree, an array from cut cell to its index in the block
@@ -511,8 +496,7 @@ def _cut_cells(surface: Surface, curves):
     """(vertex_of_corner, edge_of_dart) of the cut along curves; see
     cut_along for the numbering."""
     nv, ne = surface.n_vertices, surface.n_edges
-    phi = surface.phi.tolist()
-    vertex_of = surface.vertex_of.tolist()
+    phi, vertex_of = surface.phi, surface.vertex_of
     vertex_of_corner = list(vertex_of)
     edge_of_dart = [d >> 1 for d in range(2 * ne)]
     seen = set()
@@ -557,8 +541,7 @@ def cut_along(surface: Surface, curves) -> CutResult:
     """
     nv = surface.n_vertices
     vertex_of_corner, edge_of_dart = _cut_cells(surface, curves)
-    phi = surface.phi.tolist()
-    face_of = surface.face_of.tolist()
+    phi, face_of = surface.phi, surface.face_of
     cls, n_comp = _face_classes(face_of, surface.n_faces,
                                 {d >> 1 for cur in curves for d in cur.darts})
 
@@ -594,15 +577,18 @@ def cut_along(surface: Surface, curves) -> CutResult:
 
 
 def cellular_cohomology(x) -> gf2.GradedDims:
-    """Cohomology ranks of a closed surface or a cut result.
+    """Cohomology ranks over GF(2) of a closed surface or a cut result.
 
-    A closed surface is its cut along no curves.  Degree-0 classes are
-    component indicator cochains: the block ordering makes the
-    deterministic homology basis exactly the per-component indicators.
+    A closed surface is its cut along no curves.  Every piece is compact,
+    connected and orientable, so it adds 1 to H^0 and, unless it has a
+    boundary circle (then it retracts onto a graph), 1 to H^2; H^1 is
+    H^0 + H^2 - chi, and chi is the surface's, which cut_along checks.
     """
     if isinstance(x, Surface):
         x = cut_along(x, [])
-    return x.cochain_complex()[0].homology()
+    h0 = len(x.components)
+    h2 = sum(not c.boundary for c in x.components)
+    return gf2.GradedDims({0: h0, 1: h0 + h2 - x.surface.euler(), 2: h2})
 
 
 # ---------------------------------------------------------------------------
@@ -649,13 +635,14 @@ class Involution:
 
     def diagnostics(self) -> list[str]:
         s, psi = self.surface, self.psi
+        phi, phi_inv = np.asarray(s.phi), np.asarray(s.phi_inv)
         out = []
         if not (psi[psi] == np.arange(len(psi))).all():
             bad = int(np.nonzero(psi[psi] != np.arange(len(psi)))[0][0])
             out.append(f"not of order two (edge {s.edge_names[bad // 2]!r})")
-        want = (psi[s.phi] == (s.phi_inv[psi ^ 1] ^ 1))
+        want = (psi[phi] == (phi_inv[psi ^ 1] ^ 1))
         if not want.all():
-            if (psi[s.phi] == s.phi[psi]).all():
+            if (psi[phi] == phi[psi]).all():
                 out.append("orientation-preserving (maps faces to faces "
                            "without reversing boundary words)")
             else:
@@ -696,7 +683,7 @@ def involution_induced_map(cut: CutResult, c: Involution):
     img = c.psi ^ 1
     cells = ((cut.vertex_of_corner, img[x.phi_inv]),
              (cut.edge_of_dart, img), (x.face_of, img))
-    cx, _ = cut.cochain_complex()
+    cx = cut.cochain_complex()
     pullback = {}
     for k, (pos, (cell_of, to)) in enumerate(zip(cut.cell_index(), cells)):
         cell_of = np.asarray(cell_of)

@@ -14,7 +14,7 @@ import numpy as np
 
 def naive_rank_gf2(rows) -> int:
     """Gaussian elimination on python ints, one bit per column."""
-    m = [int("".join(str(int(x)) for x in row), 2) if len(row) else 0
+    m = [int("".join(map(str, map(int, row))), 2) if len(row) else 0
          for row in rows]
     width = len(rows[0]) if len(rows) else 0
     rank = 0
@@ -28,8 +28,10 @@ def naive_rank_gf2(rows) -> int:
         if pivot is None:
             continue
         m[rank], m[pivot] = m[pivot], m[rank]
-        for i in range(len(m)):
-            if i != rank and (m[i] & bit):
+        # the rank needs only the rows below cleared, and those up to
+        # the pivot lack its bit
+        for i in range(pivot + 1, len(m)):
+            if m[i] & bit:
                 m[i] ^= m[rank]
         rank += 1
     return rank
@@ -38,15 +40,10 @@ def naive_rank_gf2(rows) -> int:
 def oracle_homology_ranks(dims: dict[int, int],
                           diffs: dict[int, np.ndarray]) -> dict[int, int]:
     """dim H^k = nullity(d_k) - rank(d_{k-1}) via the naive eliminator."""
-    out = {}
-    for k, n in dims.items():
-        dk = diffs.get(k)
-        rk = naive_rank_gf2(dk.tolist()) if dk is not None and dk.size else 0
-        dprev = diffs.get(k - 1)
-        rprev = (naive_rank_gf2(dprev.tolist())
-                 if dprev is not None and dprev.size else 0)
-        out[k] = (n - rk) - rprev
-    return out
+    rank = {k: naive_rank_gf2(d.tolist()) if d.size else 0
+            for k, d in diffs.items() if d is not None}
+    return {k: n - rank.get(k, 0) - rank.get(k - 1, 0)
+            for k, n in dims.items()}
 
 
 def greedy_homology_reps(dprev: np.ndarray, ker: np.ndarray):

@@ -189,6 +189,16 @@ class TestVerifyModel:
         assert code == 1
         assert "overall: FAIL" in out
 
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_meaningless_tolerance_rejected(self, capsys, tol):
+        code, out, err = run(capsys, "verify-model", "--check", "twist",
+                             "--dim", "1", "--samples", "200",
+                             "--tolerance", tol)
+        assert code == 2
+        assert out == ""
+        assert err == ("twistcheck: error: --tolerance must be a finite "
+                       "number >= 0\n")
+
     def test_bad_profile_parameters(self, capsys):
         code, _, err = run(capsys, "verify-model", "--check", "lemma",
                            "--dim", "1", "--samples", "50",

@@ -97,6 +97,18 @@ class TestProfiles:
             mg.ProfileFunction("bogus", epsilon=1.0)
 
 
+class TestResidualReport:
+    @pytest.mark.parametrize("residuals", [
+        {"a": 1e-12, "b": float("nan")},
+        {"b": float("nan"), "a": 1e-12},
+    ])
+    def test_nan_residual_fails(self, residuals):
+        rep = mg.ResidualReport("x", 1, residuals, tolerance=1e-9)
+        assert np.isnan(rep.max_residual)
+        assert not rep.passed
+        assert not rep.as_dict()["passed"]
+
+
 class TestGeodesicFlow:
     def test_quarter_great_circle(self):
         q, p = mg._flow(*batch(unit(0), unit(1)), np.pi / 2)
@@ -278,6 +290,22 @@ class TestHandle:
 class TestSuspension:
     def setup_method(self):
         self.nu0 = mg.ProfileFunction("admissible", epsilon=0.5, lam=1.5)
+
+    def test_nan_sample_fails(self, monkeypatch):
+        # one NaN row per slice must survive the max over time slices
+        c0 = mg._c0
+
+        def poisoned(q, p, kind):
+            q2, p2 = c0(q, p, kind)
+            q2[-1] = np.nan
+            return q2, p2
+
+        monkeypatch.setattr(mg, "_c0", poisoned)
+        rep = mg.verify_suspension_symmetry(
+            "id", self.nu0, mg.NormHamiltonian.zero(), 1, samples=200,
+            seed=17, tolerance=1e-9)
+        assert np.isnan(rep.residuals["triple"])
+        assert not rep.passed
 
     def test_zero_hamiltonian_reduces_to_handle(self):
         rep = mg.verify_suspension_symmetry(

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from twistcheck import cli
 from twistcheck import floer as fl
 from twistcheck import gf2 as g
 from twistcheck import scenarios as sc
 from twistcheck import surface as sf
 
-from oracles import component_permutation
+from oracles import component_permutation, oracle_homology_ranks
 
 
 def polygon_surface(genus):
@@ -109,7 +110,7 @@ class TestDartWords:
         assert s.words == p.words and s.edge_names == p.edge_names
         assert s.rotations == p.rotations
         for a in ("phi", "phi_inv", "face_of", "vertex_of"):
-            assert (getattr(s, a) == getattr(p, a)).all(), a
+            assert getattr(s, a) == getattr(p, a), a
         assert [s.renumber[i] for i in ids] == list(range(p.n_edges))
         assert s.renumber.count(-1) == 2 * p.n_edges
 
@@ -141,12 +142,94 @@ class TestCohomology:
         assert h.dims == {0: 1, 1: 1}
 
     def test_grid_torus_at_scale(self):
-        # 400 faces: the single-elimination homology basis keeps this
-        # well inside the suite's budget.
+        # 400 faces: the ranks are read off the pieces, with no
+        # elimination, so size costs only the cut.
         s = sc.grid_torus(20)
         assert sf.cellular_cohomology(s).dims == {0: 1, 1: 2, 2: 1}
         cut = sf.cut_along(s, [sc.grid_row(s, 20, 7)])
         assert sf.cellular_cohomology(cut).dims == {0: 1, 1: 1}
+
+
+def assert_ranks_match_oracle(cut):
+    cx = cut.cochain_complex()
+    want = oracle_homology_ranks({k: cx.dims[k] for k in (0, 1, 2)},
+                                 {k: cx.diff(k) for k in (0, 1)})
+    assert sf.cellular_cohomology(cut).dims == \
+        {k: v for k, v in want.items() if v}
+
+
+class TestRankRule:
+    """The ranks read off the pieces of a cut equal the naive elimination
+    of its cochain complex, on 375 cuts."""
+
+    # larger refinements (1,744 to 10,840 edges) take the naive oracle
+    # seconds each, and add sizes but no new topology
+    REFINED = ([(name, r) for name in sorted(sc.BUILDERS) for r in (0, 1)]
+               + [("torus", 2), ("genus2", 2), ("genus2-crossing", 2),
+                  ("genus3", 2), ("torus", 3)])
+
+    @pytest.mark.parametrize("name, rounds", REFINED)
+    def test_builtin_refined(self, name, rounds):
+        scen = sc.BUILDERS[name]()
+        fine, parts = scen.surface.refined(rounds)
+        assert_ranks_match_oracle(
+            sf.cut_along(fine, [scen.s_curve.mapped(fine, parts)]))
+        assert_ranks_match_oracle(sf.cut_along(fine, []))
+
+    def test_randomized(self):
+        rng = np.random.default_rng(20261020)
+        for _ in range(150):
+            scen = sc.randomized_scenario(rng)
+            assert_ranks_match_oracle(
+                sf.cut_along(scen.surface, [scen.s_curve]))
+            assert_ranks_match_oracle(sf.cut_along(scen.surface, []))
+
+    @pytest.mark.parametrize("n", range(4, 21, 2))
+    def test_grid_rows(self, n):
+        s = sc.grid_torus(n)
+        for k in range(5):
+            assert_ranks_match_oracle(sf.cut_along(
+                s, [sc.grid_row(s, n, j * n // 4) for j in range(k)]))
+
+
+class TestEliminationCounts:
+    """Ranks take no elimination; only c* builds and reduces a complex."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        n = {"rref": 0, "cochain_complex": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                n[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(g, "rref", counted("rref", g.rref))
+        monkeypatch.setattr(sf.CutResult, "cochain_complex",
+                            counted("cochain_complex",
+                                    sf.CutResult.cochain_complex))
+        return n
+
+    @pytest.mark.parametrize("verb", ["cohomology", "hf"])
+    def test_ranks_take_no_elimination(self, verb, counts, tmp_path,
+                                       capsys):
+        s = sc.grid_torus(10)
+        faces = "\n".join(" ".join(w) for w in s.face_words_symbols())
+        row = " ".join(sc.grid_row(s, 10, 3).symbols())
+        path = tmp_path / "grid.scn"
+        path.write_text(f"[faces]\n{faces}\n\n[curves]\nS = {row}\n\n"
+                        "[scenario]\ns = S\n")
+        assert cli.main([verb, str(path)]) == 0
+        capsys.readouterr()
+        assert counts == {"rref": 0, "cochain_complex": 0}
+
+    @pytest.mark.parametrize("name", ["torus", "genus2", "genus3"])
+    def test_theorem_a_builds_one_complex(self, name, counts, capsys):
+        assert cli.main(["verify-theorem-a", name]) == 0
+        capsys.readouterr()
+        assert counts["cochain_complex"] == 1
+        assert counts["rref"] <= 8
 
 
 class TestCut:
