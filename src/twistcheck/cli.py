@@ -51,7 +51,7 @@ def _subdivided(scenario: TwistScenario, rounds: int) -> TwistScenario:
     new, parts = scenario.surface.refined(rounds)
 
     def move(c):
-        return None if c is None else c.mapped(new, parts, c.name)
+        return None if c is None else c.mapped(new, parts)
 
     return TwistScenario(
         new, scenario.description + f" (subdivided x{rounds})",
@@ -90,7 +90,7 @@ def _run_involution(scenario, args) -> VerificationReport:
 
 
 def _run_cohomology(scenario, args) -> VerificationReport:
-    dims = sf.cellular_cohomology(scenario.surface)
+    dims = sf.cellular_cohomology(sf.cut_along(scenario.surface, []))
     return VerificationReport(
         "cellular cohomology", scenario.description,
         data={"ranks": graded(dims), "euler": dims.euler()})
@@ -156,6 +156,10 @@ def _run_model(args) -> VerificationReport:
         raise CliError("--samples must be at least 1")
     if args.tolerance is not None and not 0 <= args.tolerance < float("inf"):
         raise CliError("--tolerance must be a finite number >= 0")
+    # the verifiers square sample norms of up to 3 epsilon, which
+    # overflows past about 4.5e153
+    if not 0 < args.epsilon <= 1e150:
+        raise CliError("--epsilon must be a number > 0 and <= 1e150")
     checks = MODEL_CHECKS if args.check == "all" else (args.check,)
     nu = _model_profile(args)
     reports = []

@@ -131,14 +131,6 @@ def _curve_edge_map(curves):
     return m
 
 
-def complementary_regions(l0: Curve, l1: Curve) -> list[Region]:
-    """Census of the complement of l0 union l1: faces grouped into
-    regions, with Euler characteristics and boundary corner data."""
-    find_intersections(l0, l1)  # validates transversality
-    s = l0.surface
-    return _region_census(s, [l0, l1])
-
-
 def _region_census(s: Surface, curves) -> list[Region]:
     cmap = _curve_edge_map(curves)
     curve_darts = set()
@@ -240,10 +232,6 @@ def floer_complex(l0: Curve, l1: Curve) -> FloerComplex:
         d[kx][pos[1 - kx][y], pos[kx][x]] ^= 1
     cx = gf2.ChainComplex({0: len(gens[0]), 1: len(gens[1])}, d, mod2=True)
     return FloerComplex(cx, points, gens)
-
-
-def hf(l0: Curve, l1: Curve) -> gf2.GradedDims:
-    return floer_complex(l0, l1).complex.homology()
 
 
 # ---------------------------------------------------------------------------
@@ -573,28 +561,25 @@ def _remove_bigon(l0: Curve, l1: Curve, region: Region):
     return s3, l0.mapped(s3, parts3), Curve(s3, l1_darts, l1.name)
 
 
-def tighten_pair(l0: Curve, l1: Curve, keep_self_floer: bool = False,
-                 max_refines: int = 5):
-    """Remove complementary bigons until the pair is in minimal position.
+# global refinements tighten_pair makes before it gives up
+_MAX_REFINES = 5
 
-    With keep_self_floer the last two crossings of an isotopic pair are
-    kept, preserving the standard two-generator self-Floer model.
-    """
+
+def tighten_pair(l0: Curve, l1: Curve):
+    """Remove complementary bigons until the pair is in minimal position."""
     refines = 0
     while True:
-        pts = find_intersections(l0, l1)
+        find_intersections(l0, l1)  # validates transversality
         regions = _region_census(l0.surface, [l0, l1])
         bigons = [r for r in regions if r.is_bigon()]
         if not bigons:
-            return l0, l1
-        if keep_self_floer and len(pts) == 2:
             return l0, l1
         bigons.sort(key=lambda r: (len(r.circles[0]), r.index))
         try:
             _, l0, l1 = _remove_bigon(l0, l1, bigons[0])
         except _Degenerate:
             refines += 1
-            if refines > max_refines:
+            if refines > _MAX_REFINES:
                 raise FloerError("bigon removal failed to stabilize "
                                  "after repeated refinement")
             fine, parts = l0.surface.refined(1)

@@ -119,13 +119,6 @@ def solve(a: np.ndarray, b: np.ndarray):
     return x
 
 
-def random_invertible(n: int, rng: np.random.Generator) -> np.ndarray:
-    while True:
-        m = rng.integers(0, 2, size=(n, n), dtype=np.uint8)
-        if rank(m) == n:
-            return m
-
-
 # ---------------------------------------------------------------------------
 # graded objects
 
@@ -153,15 +146,6 @@ class GradedDims:
 
     def euler(self) -> int:
         return sum(d if k % 2 == 0 else -d for k, d in self.dims.items())
-
-    def shift(self, n: int, mod2: bool = False) -> "GradedDims":
-        if mod2:
-            out: dict[int, int] = {}
-            for k, d in self.dims.items():
-                kk = (k + n) % 2
-                out[kk] = out.get(kk, 0) + d
-            return GradedDims(out)
-        return GradedDims({k + n: d for k, d in self.dims.items()})
 
 
 def convolve(a: "GradedDims", b: "GradedDims", mod2: bool) -> "GradedDims":
@@ -196,9 +180,6 @@ class ChainComplex:
     def prev_deg(self, k: int) -> int:
         return (k + 1) % 2 if self.mod2 else k - 1
 
-    def dim(self, k: int) -> int:
-        return self.dims[k]
-
     def diff(self, k: int) -> np.ndarray:
         """Differential C^k -> C^{k+1} (zero matrix if absent)."""
         if k in self.d:
@@ -228,9 +209,6 @@ class ChainComplex:
                 return False, NotAComplexError(
                     f"d^2 != 0 at degree {k}, witness column {col}")
         return True, None
-
-    def euler(self) -> int:
-        return self.dims.euler()
 
     # -- homology ----------------------------------------------------------
 
@@ -303,17 +281,6 @@ class ChainMap:
             if (lhs ^ rhs).any():
                 return k
         return None
-
-    def compose(self, other: "ChainMap") -> "ChainMap":
-        """self o other."""
-        comps = {k: matmul(self.comp(k), other.comp(k))
-                 for k in set(self.degrees()) | set(other.degrees())}
-        return ChainMap(other.source, self.target, comps, check=False)
-
-
-def identity_map(c: ChainComplex) -> ChainMap:
-    return ChainMap(c, c, {k: eye(c.dims[k]) for k in c.degrees()},
-                    check=False)
 
 
 def induced_map(f: ChainMap) -> dict[int, np.ndarray]:
@@ -407,10 +374,6 @@ class Cone:
         return out
 
 
-def cone(f: ChainMap) -> ChainComplex:
-    return Cone(f).complex
-
-
 @dataclass
 class LESNode:
     """One map of the long exact sequence at homology level."""
@@ -496,9 +459,6 @@ class LongExactSequence:
                     f"LES not exact at node after {inc.label}@{inc.degree}: "
                     "image != kernel")
 
-    def node_dims(self):
-        return self.h_source, self.h_target, self.h_cone
-
 
 def tensor_complex(c: ChainComplex, d: ChainComplex) -> ChainComplex:
     """Graded tensor product; over GF(2) no Koszul signs are needed."""
@@ -549,89 +509,3 @@ def tensor_complex(c: ChainComplex, d: ChainComplex) -> ChainComplex:
         if m.size:
             diffs[k] = m
     return ChainComplex(dims, diffs, mod2=mod2)
-
-
-# ---------------------------------------------------------------------------
-# random instances (test corpus generators)
-
-
-def random_complex(rng: np.random.Generator, degrees=(0, 1, 2, 3),
-                   max_dim: int = 4, mod2: bool = False):
-    """Random complex with known homology.
-
-    Built from a standard form [homology | source | target] per degree and
-    conjugated by random invertible matrices, so d^2 = 0 by construction.
-    Returns (complex, homology GradedDims, change-of-basis dict).
-    """
-    degrees = sorted(degrees)
-    h = {k: int(rng.integers(0, max_dim + 1)) for k in degrees}
-    r = {k: int(rng.integers(0, max_dim + 1)) for k in degrees}
-    r[degrees[-1]] = 0  # nothing to map out of the top degree
-    if mod2:
-        raise NotImplementedError("generator emits Z-graded complexes")
-    dims, diffs = {}, {}
-    for k in degrees:
-        r_prev = r.get(k - 1, 0)
-        dims[k] = h[k] + r[k] + r_prev
-    for k in degrees[:-1]:
-        n_src, n_tgt = dims[k], dims[k + 1]
-        m = zeros(n_tgt, n_src)
-        for t in range(r[k]):
-            m[n_tgt - r[k] + t, h[k] + t] = 1
-        diffs[k] = m
-    basis = {k: random_invertible(dims[k], rng) if dims[k] else eye(0)
-             for k in degrees}
-    conj = {}
-    for k in degrees[:-1]:
-        inv = solve(basis[k], eye(dims[k]))
-        conj[k] = matmul(matmul(basis[k + 1], diffs[k]), inv)
-    cx = ChainComplex(dims, conj, mod2=False)
-    return cx, GradedDims({k: h[k] for k in degrees}), basis
-
-
-def random_chain_map(rng: np.random.Generator, source_data, target_data):
-    """Random chain map between two random_complex outputs.
-
-    Returns (ChainMap, expected induced-map matrices per degree).
-    The map is block diagonal in the standard bases (homology block A_k,
-    matched source/target blocks B_k) plus a random null homotopy.
-    """
-    (cs, hs, bs) = source_data
-    (ct, ht, bt) = target_data
-    degrees = sorted(set(cs.dims.degrees()) | set(ct.dims.degrees())
-                     | set(cs.d) | set(ct.d))
-    # recover the standard block sizes
-    def blocks(cx, h):
-        r = {}
-        ks = sorted(set(cx.dims.degrees()) | set(cx.d))
-        for k in ks:
-            r[k] = rank(cx.diff(k))
-        return r
-    rs, rt = blocks(cs, hs), blocks(ct, ht)
-    a, b = {}, {}
-    for k in degrees:
-        a[k] = rng.integers(0, 2, size=(ht[k], hs[k]), dtype=np.uint8)
-        n = min(rs.get(k, 0), rt.get(k, 0))
-        bk = zeros(rt.get(k, 0), rs.get(k, 0))
-        sub = rng.integers(0, 2, size=(n, n), dtype=np.uint8)
-        bk[:n, :n] = sub
-        b[k] = bk
-    comps = {}
-    for k in degrees:
-        ns, nt = cs.dims[k], ct.dims[k]
-        m = zeros(nt, ns)
-        m[:ht[k], :hs[k]] = a[k]
-        r_s, r_t = rs.get(k, 0), rt.get(k, 0)
-        m[ht[k]:ht[k] + r_t, hs[k]:hs[k] + r_s] = b[k]
-        rp_s, rp_t = rs.get(k - 1, 0), rt.get(k - 1, 0)
-        if rp_s and rp_t:
-            m[nt - rp_t:, ns - rp_s:] = b[k - 1][:rp_t, :rp_s] \
-                if b.get(k - 1) is not None else 0
-        comps[k] = m
-    # conjugate into the scrambled bases
-    conj = {}
-    for k in degrees:
-        inv = solve(bs[k], eye(cs.dims[k]))
-        conj[k] = matmul(matmul(bt[k], comps[k]), inv)
-    f = ChainMap(cs, ct, conj)
-    return f, a

@@ -25,8 +25,7 @@ Provided here:
     the corresponding symmetry;
   * the splitting of the model twist into two anti-symplectic
     involutions, certified with finite-difference Jacobians in
-    stereographic cotangent charts;
-  * the Moser-style fiber rescaling of a map fixing the zero section.
+    stereographic cotangent charts.
 
 All verifiers draw reproducible samples from a seeded generator and
 return a ResidualReport with per-identity maximum residuals.  Each
@@ -52,8 +51,6 @@ __all__ = [
     "ResidualReport",
     "KINDS",
     "smooth_step",
-    "smooth_step_derivative",
-    "moser_rescale",
     "random_batch",
     "verify_lemma_identities",
     "verify_handle_symmetry",
@@ -164,19 +161,6 @@ def smooth_step(x):
     return f / (f + g)
 
 
-def smooth_step_derivative(x):
-    x = np.asarray(x, dtype=float)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        f = np.where(x > 0.0, np.exp(-1.0 / np.maximum(x, 1e-300)), 0.0)
-        fp = np.where(x > 0.0, f / np.maximum(x, 1e-300) ** 2, 0.0)
-        y = 1.0 - x
-        g = np.where(y > 0.0, np.exp(-1.0 / np.maximum(y, 1e-300)), 0.0)
-        gp = np.where(y > 0.0, g / np.maximum(y, 1e-300) ** 2, 0.0)
-    den = (f + g) ** 2
-    return np.where(den > 0.0, (fp * g + f * gp) / np.maximum(den, 1e-300),
-                    0.0)
-
-
 @dataclass(frozen=True)
 class ProfileFunction:
     """Twisting profile nu: [0, inf) -> R.
@@ -212,37 +196,6 @@ class ProfileFunction:
         else:
             out = self.lam * (1.0 - smooth_step(r / e))
         return np.where(r >= e, 0.0, out)
-
-    def derivative(self, r):
-        r = np.asarray(r, dtype=float)
-        e = self.epsilon
-        if self.kind == "dehn":
-            x = (r - e / 4.0) / (0.75 * e)
-            out = (-(1.0 - smooth_step(x))
-                   - (np.pi - r) * smooth_step_derivative(x) / (0.75 * e))
-        else:
-            out = -self.lam * smooth_step_derivative(r / e) / e
-        return np.where(r >= e, 0.0, out)
-
-    def flatness_certificate(self, r0: float, order: int = 4,
-                             delta: float = 1e-2) -> float:
-        """Certify that nu is flat at r0 up to the given derivative order.
-
-        Returns max over h in {delta, delta/2} of
-        |nu(r0 + h) - nu(r0)| / h^order; a tiny value certifies that all
-        one-sided derivatives through the given order vanish.  True
-        smooth-category flatness is not finitely checkable; this finite
-        certificate (orders <= 4 by default) is the shipped contract.
-        """
-        worst = 0.0
-        base = float(self(r0))
-        for h in (delta, delta / 2.0):
-            for s in (1.0, -1.0):
-                r = r0 + s * h
-                if r < 0:
-                    continue
-                worst = max(worst, abs(float(self(r)) - base) / h ** order)
-        return worst
 
 
 # ---------------------------------------------------------------------------
@@ -310,12 +263,17 @@ class ResidualReport:
         return self.tolerance is None or self.max_residual <= self.tolerance
 
     def as_dict(self) -> dict:
+        # strict JSON has no NaN or infinity: such a residual is null
+        def finite(v):
+            v = float(v)
+            return v if np.isfinite(v) else None
+
         out = {
             "name": self.name,
             "samples": self.samples,
-            "residuals": {k: float(v)
+            "residuals": {k: finite(v)
                           for k, v in sorted(self.residuals.items())},
-            "max_residual": self.max_residual,
+            "max_residual": finite(self.max_residual),
         }
         if self.tolerance is not None:
             out["tolerance"] = float(self.tolerance)
@@ -487,11 +445,6 @@ class NormHamiltonian:
     d1: Callable
     d2: Callable
     label: str = "custom"
-
-    @classmethod
-    def zero(cls) -> "NormHamiltonian":
-        z = lambda t, n1, n2: np.zeros_like(np.asarray(n1, dtype=float))
-        return cls(value=z, d1=z, d2=z, label="zero")
 
     @classmethod
     def bump_squared(cls, scale: float = 1.0) -> "NormHamiltonian":
@@ -839,37 +792,3 @@ def verify_involution_splitting(kind: str, nu: ProfileFunction, dim: int,
         tolerance=tolerance,
         details={"kind": kind, "dim": dim, "seed": seed, "epsilon": e},
     )
-
-
-# ---------------------------------------------------------------------------
-# Moser rescaling
-
-
-BatchMap = Callable[[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]
-
-
-def moser_rescale(psi: BatchMap, t: float, dim: int, probe_seed: int = 0,
-                  probes: int = 32) -> BatchMap:
-    """The fiber-rescaled map psi_t(q, p) = (u(q, tp), v(q, tp) / t).
-
-    psi and the result are batch maps (Q, P) -> (Q, P) on arrays of shape
-    (rows, dim + 1).  psi must fix the zero section pointwise; this is
-    probed on a batch of random base points and violations are rejected.
-    t = 1 returns psi itself; as t -> 0+ the rescalings converge to the
-    identity.
-    """
-    if not 0.0 < t <= 1.0:
-        raise ModelError("rescaling parameter must lie in (0, 1]")
-    q, _ = random_batch(dim, probes, np.random.default_rng(probe_seed),
-                        1.0, 1.0)
-    zero = np.zeros_like(q)
-    if np.max(_batch_dist(q, zero, *psi(q, zero))) > 1e-10:
-        raise ModelError("map does not fix the zero section")
-    if t == 1.0:
-        return psi
-
-    def rescaled(q: np.ndarray, p: np.ndarray):
-        q2, p2 = psi(q, t * p)
-        return q2, p2 / t
-
-    return rescaled

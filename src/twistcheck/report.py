@@ -2,9 +2,10 @@
 
 A VerificationReport bundles the computed data of a pipeline run with
 named boolean verdicts.  The structured serialization is JSON with
-sorted keys, so identical inputs produce byte-identical reports and
-parse(serialize(r)) == r.  All payload values must be JSON-native
-(strings, ints, floats, bools, lists, string-keyed dicts).
+sorted keys, so identical inputs produce byte-identical reports.  All
+payload values must be JSON-native (strings, ints, finite floats, None,
+bools, lists, string-keyed dicts): the output is strict JSON, and a NaN
+or infinity is refused rather than written as a bare token.
 """
 
 from __future__ import annotations
@@ -53,29 +54,9 @@ def matrix(m) -> List[List[int]]:
 
 
 def serialize(report: VerificationReport) -> str:
-    """Deterministic structured rendering (JSON, sorted keys)."""
-    return json.dumps(report.as_dict(), sort_keys=True, indent=2) + "\n"
-
-
-def parse(text: str) -> VerificationReport:
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ReportError(f"not a structured report: {exc}") from exc
-    try:
-        rep = VerificationReport(
-            title=raw["title"],
-            scenario=raw["scenario"],
-            data=raw.get("data", {}),
-            verdicts=raw.get("verdicts", {}),
-            residuals=raw.get("residuals", []),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ReportError(f"missing report field: {exc}") from exc
-    if "passed" in raw and bool(raw["passed"]) != rep.passed:
-        raise ReportError("stored overall verdict disagrees with the "
-                          "individual verdicts")
-    return rep
+    """Deterministic structured rendering (strict JSON, sorted keys)."""
+    return json.dumps(report.as_dict(), sort_keys=True, indent=2,
+                      allow_nan=False) + "\n"
 
 
 def _render_value(value) -> str:
@@ -98,6 +79,8 @@ def format_table(report: VerificationReport) -> str:
         name = res.get("name", "residuals")
         lines.append(f"  residuals[{name}]")
         for k, v in sorted(res.get("residuals", {}).items()):
+            # a non-finite residual is null in the structured report
+            v = float("nan") if v is None else v
             lines.append(f"    {k:<22} {v:.3e}")
         if "tolerance" in res:
             word = "pass" if res.get("passed") else "FAIL"

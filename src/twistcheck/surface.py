@@ -151,20 +151,11 @@ class Surface:
         self.rotations = rotations
         self.n_vertices = len(rotations)
 
-        # connectivity of the dart graph under alpha and phi
-        if n_darts:
-            seen_d = [False] * n_darts
-            stack = [0]
-            seen_d[0] = True
-            while stack:
-                d = stack.pop()
-                for nd in (d ^ 1, phi[d]):
-                    if not seen_d[nd]:
-                        seen_d[nd] = True
-                        stack.append(nd)
-            if not all(seen_d):
-                raise DisconnectedError(
-                    "the face words describe a disconnected surface")
+        # every dart lies in a face, so the surface is connected exactly
+        # when the faces glued across all edges form one class
+        if _face_classes(face_of, self.n_faces, ())[1] > 1:
+            raise DisconnectedError(
+                "the face words describe a disconnected surface")
 
         self.phi = phi
         self.phi_inv = phi_inv
@@ -216,12 +207,6 @@ class Surface:
 
     def euler(self) -> int:
         return self.n_vertices - self.n_edges + self.n_faces
-
-    def genus(self) -> int:
-        chi = self.euler()
-        if chi % 2:
-            raise SurfaceError(f"odd Euler characteristic {chi}")
-        return (2 - chi) // 2
 
     # -- refinement ------------------------------------------------------
 
@@ -304,12 +289,6 @@ def _expand(darts, parts):
     return out
 
 
-def subdivide(x: Surface, n: int) -> Surface:
-    if n < 0:
-        raise SurfaceError("subdivision count must be nonnegative")
-    return x if n == 0 else x.refined(n)[0]
-
-
 # ---------------------------------------------------------------------------
 # curves
 
@@ -353,16 +332,10 @@ class Curve:
     def vertices(self):
         return [self.surface.tail(d) for d in self.darts]
 
-    def reversed(self) -> "Curve":
-        return Curve(self.surface, [d ^ 1 for d in reversed(self.darts)],
-                     self.name + "~rev" if self.name else "")
-
-    def mapped(self, surface: Surface, parts,
-               name: str | None = None) -> "Curve":
+    def mapped(self, surface: Surface, parts) -> "Curve":
         """Transport to a refinement in which edge e became the edges
         parts[e], listed tail to head."""
-        return Curve(surface, _expand(self.darts, parts),
-                     self.name if name is None else name)
+        return Curve(surface, _expand(self.darts, parts), self.name)
 
     def is_contractible(self) -> bool:
         return cut_along(self.surface, [self]).has_disk()
@@ -576,19 +549,17 @@ def cut_along(surface: Surface, curves) -> CutResult:
 # cohomology
 
 
-def cellular_cohomology(x) -> gf2.GradedDims:
-    """Cohomology ranks over GF(2) of a closed surface or a cut result.
+def cellular_cohomology(cut: CutResult) -> gf2.GradedDims:
+    """Cohomology ranks over GF(2) of a cut surface.
 
     A closed surface is its cut along no curves.  Every piece is compact,
     connected and orientable, so it adds 1 to H^0 and, unless it has a
     boundary circle (then it retracts onto a graph), 1 to H^2; H^1 is
     H^0 + H^2 - chi, and chi is the surface's, which cut_along checks.
     """
-    if isinstance(x, Surface):
-        x = cut_along(x, [])
-    h0 = len(x.components)
-    h2 = sum(not c.boundary for c in x.components)
-    return gf2.GradedDims({0: h0, 1: h0 + h2 - x.surface.euler(), 2: h2})
+    h0 = len(cut.components)
+    h2 = sum(not c.boundary for c in cut.components)
+    return gf2.GradedDims({0: h0, 1: h0 + h2 - cut.surface.euler(), 2: h2})
 
 
 # ---------------------------------------------------------------------------
@@ -650,9 +621,6 @@ class Involution:
                 out.append(f"does not act cellularly near edge "
                            f"{s.edge_names[bad // 2]!r}")
         return out
-
-    def is_valid(self) -> bool:
-        return not self.diagnostics()
 
     def require_valid(self):
         diag = self.diagnostics()

@@ -252,24 +252,3 @@ def oracle_suspension_flow(q, p, t, nu0, K, steps=600):
     out = rk4(field, state, 0.0, t, steps)
     return (out[0], out[1], out[2], out[3],
             out[4][:, 0], out[5][:, 0])
-
-
-def oracle_norm_hamiltonian_time1(gprime, q, p, steps=400):
-    """Time-1 flow of a Hamiltonian H(q, p) = g(|p|) by RK4.
-
-    gprime is the derivative of g; the field is
-    (g'(|p|)/|p|) p for q and -g'(|p|) |p| q for p, with the zero
-    section held fixed.
-    """
-    q = np.atleast_2d(np.asarray(q, dtype=float))
-    p = np.atleast_2d(np.asarray(p, dtype=float))
-
-    def field(_, y):
-        qq, pp = y[0], y[1]
-        norms = np.linalg.norm(pp, axis=-1, keepdims=True)
-        safe = np.where(norms > 0, norms, 1.0)
-        speed = np.where(norms > 0, gprime(safe) / safe, 0.0)
-        return np.stack([speed * pp, -speed * safe ** 2 * qq])
-
-    out = rk4(field, np.stack([q, p]), 0.0, 1.0, steps)
-    return out[0], out[1]

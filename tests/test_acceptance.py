@@ -17,6 +17,7 @@ from twistcheck import pipeline as pl
 from twistcheck import scenarios as sc
 from twistcheck import surface as sf
 
+from algebra import random_chain_map, random_complex
 from oracles import (flat_torus_crossings, oracle_homology_ranks,
                      oracle_suspension_flow)
 
@@ -152,15 +153,15 @@ def test_criterion_09_homological_suite():
     for _ in range(100):
         # max_dim caps the homology and rank blocks, keeping every
         # chain group at dimension <= 8
-        sd = g.random_complex(r, degrees=(0, 1, 2), max_dim=2)
-        td = g.random_complex(r, degrees=(0, 1, 2), max_dim=2)
+        sd = random_complex(r, degrees=(0, 1, 2), max_dim=2)
+        td = random_complex(r, degrees=(0, 1, 2), max_dim=2)
         cx, hx, _ = sd
         ok = ok and cx.validate()[0]
         got = cx.homology().dims
         want = oracle_homology_ranks(
             dict(cx.dims.dims), {k: cx.diff(k) for k in (0, 1)})
         ok = ok and got == {k: v for k, v in want.items() if v}
-        f, _ = g.random_chain_map(r, sd, td)
+        f, _ = random_chain_map(r, sd, td)
         try:
             g.LongExactSequence(f)  # raises on any exactness failure
         except Exception:

@@ -9,7 +9,6 @@ import pytest
 import twistcheck
 
 from twistcheck import cli
-from twistcheck import report as rp
 from twistcheck import scenarios as sc
 
 TORUS_FILE = """
@@ -85,8 +84,9 @@ class TestSurfaceVerbs:
         code, out, _ = run(capsys, "les-check", "torus-les",
                            "--format", "structured")
         assert code == 0
-        rep = rp.parse(out)
-        assert rep.passed
+        payload = json.loads(out)
+        assert payload["passed"] is True
+        assert all(payload["verdicts"].values())
 
 
 class TestInputsAndFlags:
@@ -152,6 +152,17 @@ class TestInputsAndFlags:
         assert err == ("twistcheck: error: the twist curve S must be "
                        "noncontractible\n")
 
+    def test_disconnected_surface_cites_location(self, capsys, tmp_path):
+        path = tmp_path / "two-tori.scn"
+        path.write_text("[faces]\na b a' b'\nc d c' d'\n\n[curves]\n"
+                        "S = a\n\n[scenario]\ns = S\n")
+        code, out, err = run(capsys, "hf", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == (f"twistcheck: error: {path}: line 2, column 1: "
+                       "invalid surface: the face words describe a "
+                       "disconnected surface\n")
+
     def test_unknown_verb_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["frobnicate", "torus"])
@@ -198,6 +209,26 @@ class TestVerifyModel:
         assert out == ""
         assert err == ("twistcheck: error: --tolerance must be a finite "
                        "number >= 0\n")
+
+    @pytest.mark.parametrize("eps", ["0", "nan", "inf", "1e308", "1e151"])
+    def test_unsampleable_epsilon_rejected(self, capsys, eps):
+        # inf and 1e308 overflow numpy's uniform draw, and from about
+        # 1.3e154 the squared radius of the handle samples overflows
+        code, out, err = run(capsys, "verify-model", "--check", "twist",
+                             "--samples", "50", "--epsilon", eps)
+        assert code == 2
+        assert out == ""
+        assert err == ("twistcheck: error: --epsilon must be a number > 0 "
+                       "and <= 1e150\n")
+
+    def test_largest_epsilon_runs(self, capsys):
+        code, out, _ = run(capsys, "verify-model", "--check", "all",
+                           "--dim", "1", "--samples", "20",
+                           "--epsilon", "1e150", "--format", "structured")
+        # the residuals are huge but finite: the checks fail, with no
+        # traceback
+        assert code == 1
+        assert json.loads(out)["passed"] is False
 
     def test_bad_profile_parameters(self, capsys):
         code, _, err = run(capsys, "verify-model", "--check", "lemma",

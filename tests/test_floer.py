@@ -4,6 +4,7 @@ from twistcheck import floer as fl
 from twistcheck import scenarios as sc
 from twistcheck import surface as sf
 
+from generators import reversed_curve
 from oracles import flat_torus_crossings
 
 
@@ -11,6 +12,15 @@ def square_torus():
     s = sf.Surface.parse([["a", "b", "a'", "b'"]])
     return s, sf.Curve.from_symbols(s, ["a"], "a"), \
         sf.Curve.from_symbols(s, ["b"], "b")
+
+
+def regions(l0, l1):
+    fl.find_intersections(l0, l1)  # validates transversality
+    return fl._region_census(l0.surface, [l0, l1])
+
+
+def hf(l0, l1):
+    return fl.floer_complex(l0, l1).complex.homology()
 
 
 def wiggled_column(s):
@@ -40,7 +50,7 @@ class TestIntersections:
 
     def test_reversal_flips_sign(self):
         _, a, b = square_torus()
-        assert fl.find_intersections(a, b.reversed())[0].nu == -1
+        assert fl.find_intersections(a, reversed_curve(b))[0].nu == -1
 
     def test_shared_edge_rejected(self):
         s = sc.grid_torus(4)
@@ -64,39 +74,36 @@ class TestIntersections:
 class TestRegions:
     def test_square_torus_complement_is_a_square(self):
         _, a, b = square_torus()
-        regions = fl.complementary_regions(a, b)
-        assert len(regions) == 1
-        r = regions[0]
+        found = regions(a, b)
+        assert len(found) == 1
+        r = found[0]
         assert r.chi == 1 and len(r.circles) == 1 and r.n_corners == 4
 
     def test_grid_row_col_complement(self):
         s = sc.grid_torus(5)
-        regions = fl.complementary_regions(sc.grid_row(s, 5, 0),
-                                           sc.grid_col(s, 5, 0))
-        assert len(regions) == 1
-        assert regions[0].chi == 1 and regions[0].n_corners == 4
+        found = regions(sc.grid_row(s, 5, 0), sc.grid_col(s, 5, 0))
+        assert len(found) == 1
+        assert found[0].chi == 1 and found[0].n_corners == 4
 
     def test_chi_additive(self):
         s = sc.grid_torus(5)
-        regions = fl.complementary_regions(sc.grid_row(s, 5, 0),
-                                           wiggled_column(s))
+        found = regions(sc.grid_row(s, 5, 0), wiggled_column(s))
         # cutting along both curves duplicates each crossing vertex into
         # four sector copies: total chi grows by one per crossing
-        assert sum(r.chi for r in regions) == s.euler() + 3
+        assert sum(r.chi for r in found) == s.euler() + 3
         # corner count: four sectors per crossing
-        assert sum(r.n_corners for r in regions) == 4 * 3
+        assert sum(r.n_corners for r in found) == 4 * 3
 
     def test_isotopic_pair_has_two_bigons(self):
         s = sc.grid_torus(5)
-        regions = fl.complementary_regions(sc.grid_row(s, 5, 0),
-                                           wiggled_row(s))
-        assert sum(1 for r in regions if r.is_bigon()) == 2
+        found = regions(sc.grid_row(s, 5, 0), wiggled_row(s))
+        assert sum(1 for r in found if r.is_bigon()) == 2
 
 
 class TestFloerComplex:
     def test_torus_one_generator(self):
         _, a, b = square_torus()
-        assert fl.hf(a, b).dims == {1: 1}
+        assert hf(a, b).dims == {1: 1}
 
     def test_contractible_rejected(self):
         s = sc.grid_torus(4)
@@ -120,13 +127,13 @@ class TestFloerComplex:
     def test_symmetry_of_total_rank(self):
         s = sc.grid_torus(5)
         r0, w = sc.grid_row(s, 5, 0), wiggled_column(s)
-        assert fl.hf(r0, w).total() == fl.hf(w, r0).total()
-        assert fl.hf(r0, w.reversed()).total() == fl.hf(r0, w).total()
+        assert hf(r0, w).total() == hf(w, r0).total()
+        assert hf(r0, reversed_curve(w)).total() == hf(r0, w).total()
 
     def test_corpus_d_squared_zero(self):
         pairs = []
         g2 = sc.genus2_scenario()
-        pairs.append((g2.curve("alpha1"), g2.curve("beta1")))
+        pairs.append((g2.curves["alpha1"], g2.curves["beta1"]))
         gx = sc.genus2_crossing_scenario()
         pairs.append((gx.s_curve, gx.n_curve))
         for l0, l1 in pairs:
@@ -136,8 +143,8 @@ class TestFloerComplex:
 
     def test_genus2_handle_loops(self):
         g2 = sc.genus2_scenario()
-        assert fl.hf(g2.curve("alpha1"), g2.curve("beta1")).total() == 1
-        assert fl.hf(g2.curve("alpha1"), g2.curve("beta2")).total() == 0
+        assert hf(g2.curves["alpha1"], g2.curves["beta1"]).total() == 1
+        assert hf(g2.curves["alpha1"], g2.curves["beta2"]).total() == 0
 
     def test_gamma_crosses_separating_curve_twice(self):
         gx = sc.genus2_crossing_scenario()
@@ -155,12 +162,6 @@ class TestTighten:
         s = sc.grid_torus(5)
         l0, l1 = fl.tighten_pair(sc.grid_row(s, 5, 0), wiggled_row(s))
         assert not (set(l0.vertices) & set(l1.vertices))
-
-    def test_keep_self_floer_stops_at_two(self):
-        s = sc.grid_torus(5)
-        l0, l1 = fl.tighten_pair(sc.grid_row(s, 5, 0), wiggled_row(s),
-                                 keep_self_floer=True)
-        assert len(fl.find_intersections(l0, l1)) == 2
 
     def test_rank_hf_detects_isotopy(self):
         s = sc.grid_torus(5)
@@ -224,12 +225,12 @@ class TestDehnTwist:
     def test_twist_preserves_genus(self):
         s, a, b = square_torus()
         out = fl.dehn_twist(s, a, 1, twist=[b])
-        assert out.surface.genus() == 1
+        assert out.surface.euler() == 0
         s5 = sc.grid_torus(5)
         out = fl.dehn_twist(s5, sc.grid_row(s5, 5, 0), 2,
                             twist=[sc.grid_col(s5, 5, 0)],
                             carry=[sc.grid_col(s5, 5, 2)])
-        assert out.surface.genus() == 1
+        assert out.surface.euler() == 0
 
     def test_torus_basic_twist(self):
         s, a, b = square_torus()
@@ -242,7 +243,7 @@ class TestDehnTwist:
         s = sc.grid_torus(5)
         r0, c0 = sc.grid_row(s, 5, 0), sc.grid_col(s, 5, 0)
         with pytest.raises(fl.NonTransverseError):
-            fl.dehn_twist(s, r0, 1, twist=[c0], carry=[c0.reversed()])
+            fl.dehn_twist(s, r0, 1, twist=[c0], carry=[reversed_curve(c0)])
 
     def test_contractible_twist_curve_rejected(self):
         s = sc.grid_torus(4)

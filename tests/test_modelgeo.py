@@ -1,10 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 from twistcheck import modelgeo as mg
+from twistcheck import report as rp
 
-from oracles import (oracle_geodesic_flow, oracle_norm_hamiltonian_time1,
-                     oracle_suspension_flow)
+from oracles import oracle_geodesic_flow, oracle_suspension_flow
 
 
 def batch(q, p):
@@ -15,6 +17,24 @@ def batch(q, p):
 def dist(a, b):
     """Max-abs distance between two batches (Q, P)."""
     return float(np.max(mg._batch_dist(*a, *b)))
+
+
+def zero_hamiltonian():
+    """K = 0: the suspension reduces to the handle."""
+    z = lambda t, n1, n2: np.zeros_like(np.asarray(n1, dtype=float))
+    return mg.NormHamiltonian(value=z, d1=z, d2=z, label="zero")
+
+
+def flatness(nu, r0, order=4, delta=1e-2):
+    """max |nu(r0 +- h) - nu(r0)| / h^order over h in {delta, delta/2},
+    on the side r >= 0: a tiny value certifies that the one-sided
+    derivatives of nu at r0 vanish through the given order."""
+    worst = 0.0
+    for h in (delta, delta / 2.0):
+        for r in (r0 + h, r0 - h):
+            if r >= 0:
+                worst = max(worst, abs(float(nu(r) - nu(r0))) / h ** order)
+    return worst
 
 
 def unit(i, dim=3):
@@ -75,16 +95,8 @@ class TestProfiles:
 
     def test_admissible_flat_ends(self):
         nu = mg.ProfileFunction("admissible", epsilon=0.5, lam=1.0)
-        assert nu.flatness_certificate(0.0) < 1e-12
-        assert nu.flatness_certificate(0.5) < 1e-12
-
-    def test_derivative_matches_finite_differences(self):
-        h = 1e-6
-        for nu in (mg.ProfileFunction("dehn", epsilon=0.7),
-                   mg.ProfileFunction("admissible", epsilon=0.7, lam=2.5)):
-            r = np.linspace(0.05, 0.65, 40)
-            fd = (nu(r + h) - nu(r - h)) / (2 * h)
-            assert np.max(np.abs(nu.derivative(r) - fd)) < 1e-7
+        assert flatness(nu, 0.0) < 1e-12
+        assert flatness(nu, 0.5) < 1e-12
 
     def test_invalid_parameters(self):
         with pytest.raises(mg.ModelError):
@@ -107,6 +119,26 @@ class TestResidualReport:
         assert np.isnan(rep.max_residual)
         assert not rep.passed
         assert not rep.as_dict()["passed"]
+
+    def test_nan_residual_is_strict_json(self):
+        # RFC 8259 has no NaN: the residual and the max are null, the
+        # table still reads nan, and a bare NaN payload is refused
+        res = mg.ResidualReport("x", 1, {"a": 1e-12, "b": float("nan")},
+                                tolerance=1e-9).as_dict()
+        rep = rp.VerificationReport("t", "s", verdicts={"x": False},
+                                    residuals=[res])
+
+        def refuse(token):
+            raise ValueError(f"bare {token} token")
+
+        out = json.loads(rp.serialize(rep), parse_constant=refuse)
+        got = out["residuals"][0]
+        assert got["residuals"] == {"a": 1e-12, "b": None}
+        assert got["max_residual"] is None and got["passed"] is False
+        assert "    b                      nan\n" in rp.format_table(rep)
+        rep.data["bad"] = float("nan")
+        with pytest.raises(ValueError):
+            rp.serialize(rep)
 
 
 class TestGeodesicFlow:
@@ -302,14 +334,14 @@ class TestSuspension:
 
         monkeypatch.setattr(mg, "_c0", poisoned)
         rep = mg.verify_suspension_symmetry(
-            "id", self.nu0, mg.NormHamiltonian.zero(), 1, samples=200,
+            "id", self.nu0, zero_hamiltonian(), 1, samples=200,
             seed=17, tolerance=1e-9)
         assert np.isnan(rep.residuals["triple"])
         assert not rep.passed
 
     def test_zero_hamiltonian_reduces_to_handle(self):
         rep = mg.verify_suspension_symmetry(
-            "id", self.nu0, mg.NormHamiltonian.zero(), 2, samples=2000,
+            "id", self.nu0, zero_hamiltonian(), 2, samples=2000,
             seed=17, tolerance=1e-9)
         assert rep.passed, rep.as_dict()
 
@@ -349,7 +381,7 @@ class TestSuspension:
         # the slices t = 0 and t = 1 are always drawn
         with pytest.raises(mg.ModelError, match="t_chunks"):
             mg.verify_suspension_symmetry(
-                "id", self.nu0, mg.NormHamiltonian.zero(), 1, samples=10,
+                "id", self.nu0, zero_hamiltonian(), 1, samples=10,
                 t_chunks=t_chunks)
 
 
@@ -364,54 +396,3 @@ class TestSplitting:
         assert rep.residuals["conjugation"] < 1e-8
         assert rep.residuals["antisymplectic_c"] < 1e-5
         assert rep.residuals["antisymplectic_ctilde"] < 1e-5
-
-
-class TestMoser:
-    def test_identity_fixed_point(self, rng):
-        ident = lambda q, p: (q, p)
-        resc = mg.moser_rescale(ident, 0.25, dim=2)
-        q, p = mg.random_batch(2, 1, rng, 0.1, 1.0)
-        q2, p2 = resc(q, p)
-        assert max(np.max(np.abs(q2 - q)), np.max(np.abs(p2 - p))) < 1e-12
-
-    def test_t_one_returns_map(self):
-        ident = lambda q, p: (q, p)
-        assert mg.moser_rescale(ident, 1.0, dim=2) is ident
-
-    def test_invalid_t(self):
-        with pytest.raises(mg.ModelError):
-            mg.moser_rescale(lambda q, p: (q, p), 0.0, dim=2)
-
-    def test_zero_section_violation_rejected(self):
-        rot = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-
-        def psi(q, p):
-            return q @ rot.T, p @ rot.T
-
-        with pytest.raises(mg.ModelError):
-            mg.moser_rescale(psi, 0.5, dim=2)
-
-    def test_richardson_limit_of_compact_flow(self, rng):
-        # psi = time-1 flow of H = g(|p|), g compactly supported and
-        # quadratic near the zero section, evaluated by the ODE oracle
-        big_r = 1.2
-
-        def gprime(r):
-            x = r / big_r
-            return (2 * r * (1.0 - mg.smooth_step(x))
-                    - r ** 2 * mg.smooth_step_derivative(x) / big_r)
-
-        def psi(q, p):
-            return oracle_norm_hamiltonian_time1(gprime, q, p)
-
-        q, p = mg.random_batch(2, 1, rng, 0.4, 0.8)
-        images = []
-        for t in (1e-1, 1e-2, 1e-3, 1e-4):
-            q2, p2 = mg.moser_rescale(psi, t, dim=2)(q, p)
-            images.append(np.concatenate([q2[0], p2[0]]))
-        # one Richardson sweep with step ratio 10 kills the O(t) term
-        extrap = [(10 * b - a) / 9 for a, b in zip(images, images[1:])]
-        target = np.concatenate([q[0], p[0]])
-        assert np.max(np.abs(extrap[-1] - target)) < 1e-6
-        raw_err = np.max(np.abs(images[-1] - target))
-        assert np.max(np.abs(extrap[-1] - target)) < raw_err

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,8 @@ from twistcheck import pipeline as pl
 from twistcheck import report as rp
 from twistcheck import scenarios as sc
 from twistcheck import surface as sf
+
+from generators import randomized_scenario
 
 
 @pytest.fixture
@@ -114,7 +118,7 @@ class TestTheoremA:
     def test_randomized_presentations(self):
         rng = np.random.default_rng(20240817)
         for _ in range(20):
-            scen = sc.randomized_scenario(rng)
+            scen = randomized_scenario(rng)
             assert pl.verify_theorem_A(scen).passed, scen.description
 
     def test_homology_eliminated_once_per_complex_and_degree(self,
@@ -135,20 +139,21 @@ class TestTheoremA:
     def test_verdicts_recomputable_from_data(self):
         # recomputation oracle: every verdict follows from the stored
         # payload alone
-        rep = rp.parse(rp.serialize(pl.verify_theorem_A(
+        rep = json.loads(rp.serialize(pl.verify_theorem_A(
             sc.genus2_scenario())))
-        a = np.array(rep.data["a"], dtype=np.uint8)
-        m0 = np.array(rep.data["c_star"]["0"], dtype=np.uint8)
-        assert rep.verdicts["a_nonzero"] == bool(a.any())
-        assert rep.verdicts["c_star_fixes_a"] == bool(
+        data, verdicts = rep["data"], rep["verdicts"]
+        a = np.array(data["a"], dtype=np.uint8)
+        m0 = np.array(data["c_star"]["0"], dtype=np.uint8)
+        assert verdicts["a_nonzero"] == bool(a.any())
+        assert verdicts["c_star_fixes_a"] == bool(
             ((m0 @ a) % 2 == a).all())
-        assert rep.verdicts["degree0_is_permutation"] == bool(
+        assert verdicts["degree0_is_permutation"] == bool(
             (m0.sum(axis=0) == 1).all() and (m0.sum(axis=1) == 1).all())
         got = all(
             ((np.array(m, dtype=np.uint8) @ np.array(m, dtype=np.uint8))
              % 2 == np.eye(len(m), dtype=np.uint8)).all()
-            for m in rep.data["c_star"].values() if len(m))
-        assert rep.verdicts["c_star_squares_to_identity"] == got
+            for m in data["c_star"].values() if len(m))
+        assert verdicts["c_star_squares_to_identity"] == got
 
 
 def _convolve(a: dict, b: dict) -> dict:
@@ -233,20 +238,10 @@ class TestLesRankCheck:
 
 
 class TestReports:
-    def test_round_trip(self):
-        rep = pl.verify_theorem_A(sc.genus2_scenario())
-        assert rp.parse(rp.serialize(rep)) == rep
-
     def test_deterministic_serialization(self):
         a = rp.serialize(pl.les_rank_check(sc.torus_les_scenario()))
         b = rp.serialize(pl.les_rank_check(sc.torus_les_scenario()))
         assert a == b
-
-    def test_tampered_verdict_rejected(self):
-        text = rp.serialize(pl.verify_theorem_A(sc.torus_scenario()))
-        bad = text.replace('"passed": true', '"passed": false')
-        with pytest.raises(rp.ReportError):
-            rp.parse(bad)
 
     def test_table_format_mentions_verdicts(self):
         rep = pl.verify_theorem_A(sc.torus_scenario())
@@ -259,7 +254,6 @@ class TestReports:
             rp.emit_report(pl.verify_theorem_A(sc.torus_scenario()), "xml")
 
     def test_structured_is_json_native(self):
-        import json
         rep = pl.les_rank_check(sc.genus2_crossing_scenario())
         payload = json.loads(rp.serialize(rep))
         assert payload["passed"] is True
@@ -269,7 +263,7 @@ class TestSubdivisionInvariance:
     def test_hf_ranks_stable_under_refinement(self):
         scen = sc.genus2_scenario()
         new, parts = scen.surface.refined(1)
-        s2 = scen.s_curve.mapped(new, parts, "S")
+        s2 = scen.s_curve.mapped(new, parts)
         refined = sc.TwistScenario(new, "refined", s2)
         dims, _ = pl.hf_inverse_twist(refined)
         assert dims.dims == {0: 2, 1: 4}
