@@ -124,8 +124,7 @@ def _run_twist(scenario, args) -> VerificationReport:
         raise CliError(f"unknown curve {name!r}; available: "
                        + ", ".join(sorted(table)))
     k = args.power if args.power is not None else scenario.twist_power
-    out = fl._dehn_twist(scenario.surface, scenario.s_curve, k, [target],
-                         [])
+    out = fl.dehn_twist(scenario.surface, scenario.s_curve, k, [target])
     return VerificationReport(
         f"dehn twist tau^{k}", scenario.description,
         data={"curve": list(target.symbols()),

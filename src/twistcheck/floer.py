@@ -258,14 +258,9 @@ def dehn_twist(surface: Surface, s_curve: Curve, k: int,
     `carry` straight across.
 
     k > 0 twists to the right of the oriented curve (shear in the
-    direction of increasing column index)."""
-    _require_noncontractible(s_curve)
-    return _dehn_twist(surface, s_curve, k, list(twist), list(carry))
-
-
-def _dehn_twist(surface: Surface, s_curve: Curve, k: int, twist: list,
-                carry: list) -> TwistOutcome:
-    """dehn_twist without the contractibility guard on s_curve."""
+    direction of increasing column index).  s_curve must be
+    noncontractible: callers check it where their input enters."""
+    twist, carry = list(twist), list(carry)
     if k == 0:
         return TwistOutcome(surface, s_curve, twist, carry)
     # a transported curve equal to S itself maps to the S image
@@ -600,14 +595,8 @@ def rank_hf(l0: Curve, l1: Curve) -> gf2.GradedDims:
     """Graded ranks of HF(l0, l1) after tightening to minimal position.
 
     Isotopic pairs (including l1 = l0) use the standard two-crossing
-    perturbed model: rank one in each degree.
-    """
-    _require_noncontractible(l0, l1)
-    return _rank_hf(l0, l1)
-
-
-def _rank_hf(l0: Curve, l1: Curve) -> gf2.GradedDims:
-    """rank_hf without the contractibility guard."""
+    perturbed model: rank one in each degree.  Both curves must be
+    noncontractible: callers check it where their input enters."""
     if l0.edges == l1.edges:
         return gf2.GradedDims({0: 1, 1: 1})
     if l0.edges & l1.edges:
@@ -632,12 +621,11 @@ def twist_rank_sequence(s_curve: Curve, q_curve: Curve, n_curve: Curve,
     moved is False when the twist fixes N (k = 0, N = S, or N disjoint
     from S), in which case every entry equals hf(Q, N).  The three curves
     are checked once, on the input surface; a Dehn twist is a
-    homeomorphism, so the twisted images stay noncontractible and the
-    per-step work runs through the unguarded cores.
+    homeomorphism, so the twisted images stay noncontractible.
     """
     S, Q, N = s_curve, q_curve, n_curve
     _require_noncontractible(S, Q, N)
-    hf_sn, hf_qs, hf_qn = _rank_hf(S, N), _rank_hf(Q, S), _rank_hf(Q, N)
+    hf_sn, hf_qs, hf_qn = rank_hf(S, N), rank_hf(Q, S), rank_hf(Q, N)
     crossings = N.edges != S.edges and find_intersections(N, S)
     sequence = [hf_qn]
     if k == 0 or not crossings:
@@ -646,6 +634,6 @@ def twist_rank_sequence(s_curve: Curve, q_curve: Curve, n_curve: Curve,
     # |k| single steps
     step = 1 if k > 0 else -1
     for j in range(step, k + step, step):
-        out = _dehn_twist(S.surface, S, j, [N], [Q])
-        sequence.append(_rank_hf(out.carried[0], out.twisted[0]))
+        out = dehn_twist(S.surface, S, j, [N], [Q])
+        sequence.append(rank_hf(out.carried[0], out.twisted[0]))
     return hf_sn, hf_qs, sequence, True

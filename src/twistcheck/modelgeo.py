@@ -14,10 +14,12 @@ Provided here:
 
   * the normalized geodesic flow (Hamiltonian flow of xi -> |xi|) in
     closed form;
-  * the two canonical profile families (the Dehn profile pi - r and the
-    admissible plateau profiles), built from exp(-1/x) smooth steps;
+  * the two canonical profile families (the Dehn profile pi - r, for
+    epsilon <= pi, and the admissible plateau profiles), built from
+    exp(-1/x) smooth steps;
   * the model Dehn twist tau(xi) = flow of xi for time nu(|xi|), with
-    the antipodal map on the zero section;
+    the antipodal map on the zero section, where only the Dehn profile
+    (nu(0) = pi) makes it continuous and has its residuals reported;
   * the linear anti-symplectic involutions c0* (kinds "id" and "r");
   * the flow handle parameterization and the symmetry identities that
     relate it to its image under the swap-and-flip map Phi;
@@ -25,7 +27,8 @@ Provided here:
     the corresponding symmetry;
   * the splitting of the model twist into two anti-symplectic
     involutions, certified with finite-difference Jacobians in
-    stereographic cotangent charts.
+    stereographic cotangent charts, whose covector push-forward
+    w = J^T p and its inverse are closed forms (the chart is conformal).
 
 All verifiers draw reproducible samples from a seeded generator and
 return a ResidualReport with per-identity maximum residuals.  Each
@@ -167,9 +170,10 @@ class ProfileFunction:
 
     kind "dehn": nu(r) = pi - r exactly on [0, epsilon/4], then blended
     smoothly and strictly decreasing to 0 at epsilon, identically 0
-    beyond.  kind "admissible": nu(0) = lam in (0, pi), flat at 0 (all
-    derivatives vanish there), strictly decreasing on (0, epsilon),
-    identically 0 beyond.
+    beyond; it needs epsilon <= pi, since the blend (pi - r)(1 - step)
+    turns negative once epsilon passes pi.  kind "admissible":
+    nu(0) = lam in (0, pi), flat at 0 (all derivatives vanish there),
+    strictly decreasing on (0, epsilon), identically 0 beyond.
     """
 
     kind: str
@@ -186,6 +190,9 @@ class ProfileFunction:
                 raise ModelError("admissible profile needs lam in (0, pi)")
         elif self.lam is not None:
             raise ModelError("dehn profile takes no lam parameter")
+        elif self.epsilon > np.pi:
+            raise ModelError(f"dehn profile needs epsilon <= pi, got "
+                             f"epsilon = {self.epsilon:g}")
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
@@ -587,59 +594,47 @@ def _chart_pole(q: np.ndarray) -> np.ndarray:
 
 
 def _to_chart(q: np.ndarray, p: np.ndarray, s: np.ndarray):
-    """Cotangent stereographic chart with pole s * e_last (rowwise)."""
-    denom = 1.0 - s * q[:, -1]
-    u = q[:, :-1] / denom[:, None]
-    jac = _chart_jacobian(u, s)
-    w = np.einsum("nkj,nk->nj", jac, p)
+    """Cotangent stereographic chart with pole s * e_last (rowwise):
+    u = q' / (1 - s q_last) and w = J^T p, with J the Jacobian of the
+    inverse chart.  The chart is conformal (J^T J = (2/m)^2 I, with
+    m = 1 + |u|^2), so w = (2/m) p' + (4/m^2) (s p_last - u . p') u."""
+    u = q[:, :-1] / (1.0 - s * q[:, -1])[:, None]
+    m = 1.0 + np.sum(u * u, axis=1)
+    up = np.sum(u * p[:, :-1], axis=1)
+    w = ((2.0 / m)[:, None] * p[:, :-1]
+         + (4.0 / m ** 2 * (s * p[:, -1] - up))[:, None] * u)
     return u, w
 
 
-def _chart_jacobian(u: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Jacobian of the inverse chart u -> q, shape (rows, n+1, n)."""
-    m = 1.0 + np.sum(u * u, axis=1)
-    rows, n = u.shape
-    jac = np.zeros((rows, n + 1, n))
-    eye = np.eye(n)
-    jac[:, :n, :] = (2.0 / m)[:, None, None] * eye[None, :, :] \
-        - (4.0 / m ** 2)[:, None, None] * u[:, :, None] * u[:, None, :]
-    jac[:, n, :] = (s * 4.0 / m ** 2)[:, None] * u
-    return jac
-
-
-def _chart_base(u: np.ndarray, s: np.ndarray):
-    """Inverse chart at u: the base point q, the Jacobian and the fibre
-    scale m^2 / 4 (the chart is conformal: J^T J = (2/m)^2 I)."""
-    m = 1.0 + np.sum(u * u, axis=1)
-    q = np.empty((u.shape[0], u.shape[1] + 1))
-    q[:, :-1] = 2.0 * u / m[:, None]
-    q[:, -1] = s * (np.sum(u * u, axis=1) - 1.0) / m
-    return q, _chart_jacobian(u, s), (m ** 2 / 4.0)[:, None]
+def _from_chart(u: np.ndarray, w: np.ndarray, s: np.ndarray):
+    """Inverse of _to_chart: q = (2u, s (|u|^2 - 1)) / m and
+    p = (m^2 / 4) J w = ((m/2) w - (u . w) u, s (u . w))."""
+    uu = np.sum(u * u, axis=1)
+    m = 1.0 + uu
+    uw = np.sum(u * w, axis=1)
+    q = np.concatenate([2.0 * u / m[:, None], (s * (uu - 1.0) / m)[:, None]],
+                       axis=1)
+    p = np.concatenate([(m / 2.0)[:, None] * w - uw[:, None] * u,
+                        (s * uw)[:, None]], axis=1)
+    return q, p
 
 
 def _symplectic_residual(map_batch, q: np.ndarray, p: np.ndarray,
-                         q_out: np.ndarray, target_sign: float,
-                         step: float = 1e-5) -> float:
+                         q_out: np.ndarray, target_sign: float) -> float:
     """Max-norm residual of D^T J D - target_sign * J for the map in
-    stereographic cotangent charts, with central-difference Jacobians.
-    q_out is the base of the image map_batch(q, p), which picks the
-    output chart; the callers have it at hand already."""
-    rows, n1 = q.shape
-    n = n1 - 1
+    stereographic cotangent charts, with central-difference Jacobians
+    (step 1e-5).  q_out is the base of the image map_batch(q, p), which
+    picks the output chart; the callers have it at hand already."""
+    n = q.shape[1] - 1
     d = 2 * n
+    step = 1e-5
     s_in = _chart_pole(q)
     s_out = _chart_pole(q_out)
-    u0, w0 = _to_chart(q, p, s_in)
-    x0 = np.concatenate([u0, w0], axis=1)
-    base0 = _chart_base(u0, s_in)
+    x0 = np.concatenate(_to_chart(q, p, s_in), axis=1)
 
-    def evaluate(x, j):
-        # a step in a fibre coordinate (j >= n) keeps the base point
-        qa, jac, scale = base0 if j >= n else _chart_base(x[:, :n], s_in)
-        pa = np.einsum("nkj,nj->nk", jac, x[:, n:]) * scale
-        qb, pb = map_batch(qa, pa)
-        ub, wb = _to_chart(qb, pb, s_out)
-        return np.concatenate([ub, wb], axis=1)
+    def evaluate(x):
+        qb, pb = map_batch(*_from_chart(x[:, :n], x[:, n:], s_in))
+        return np.concatenate(_to_chart(qb, pb, s_out), axis=1)
 
     cols = []
     for j in range(d):
@@ -647,19 +642,14 @@ def _symplectic_residual(map_batch, q: np.ndarray, p: np.ndarray,
         xp[:, j] += step
         xm = x0.copy()
         xm[:, j] -= step
-        cols.append((evaluate(xp, j) - evaluate(xm, j)) / (2.0 * step))
+        cols.append((evaluate(xp) - evaluate(xm)) / (2.0 * step))
     jac = np.stack(cols, axis=2)           # (rows, d, d)
 
     jmat = np.zeros((d, d))
     jmat[:n, n:] = np.eye(n)
     jmat[n:, :n] = -np.eye(n)
-    # D^T J D summed over the d nonzero entries J[j, (j + n) % d] = +-1,
-    # in j order
-    m = np.zeros((rows, d, d))
-    for j in range(d):
-        k = (j + n) % d
-        m += jmat[j, k] * jac[:, j, :, None] * jac[:, k, None, :]
-    return float(np.max(np.abs(m - target_sign * jmat)))
+    form = np.swapaxes(jac, 1, 2) @ jmat @ jac
+    return float(np.max(np.abs(form - target_sign * jmat)))
 
 
 # ---------------------------------------------------------------------------
@@ -667,15 +657,16 @@ def _symplectic_residual(map_batch, q: np.ndarray, p: np.ndarray,
 
 
 def verify_model_twist(nu: ProfileFunction, dim: int, samples: int = 10000,
-                       seed: int = 0, fd_step: float = 1e-5,
+                       seed: int = 0,
                        tolerance: Optional[float] = None) -> ResidualReport:
     """Certify the defining properties of the model Dehn twist.
 
-    Checks: the zero section maps to the antipode exactly; the region
-    |xi| >= epsilon is fixed exactly; the flow preserves |p|, |q| = 1
-    and q.p = 0; the twist is symplectic (finite-difference Jacobian in
-    stereographic cotangent charts); and the twist is continuous across
-    the zero section, approaching the antipodal limit along rays.
+    Checks: the region |xi| >= epsilon is fixed exactly; the flow
+    preserves |p|, |q| = 1 and q.p = 0; and the twist is symplectic
+    (finite-difference Jacobian in stereographic cotangent charts).  For
+    the Dehn profile, the only one that extends over the zero section,
+    also: the zero section maps to the antipode exactly, and the twist
+    approaches that antipodal limit along rays.
     """
     rng = np.random.default_rng(seed)
     e = nu.epsilon
@@ -695,47 +686,41 @@ def verify_model_twist(nu: ProfileFunction, dim: int, samples: int = 10000,
                 np.max(np.abs(np.linalg.norm(p2, axis=1)
                               - np.linalg.norm(p[b], axis=1))),
             ])),
-            "symplectic": _symplectic_residual(twist, q[b], p[b], q2, +1.0,
-                                               step=fd_step),
+            "symplectic": _symplectic_residual(twist, q[b], p[b], q2, +1.0),
         }
 
     residuals = _blockwise_max(block, samples)
+    details = {"dim": dim, "seed": seed, "epsilon": e}
+    residuals["identity_region"] = float(np.max(
+        _batch_dist(qf, pf, *_twist(qf, pf, nu))))
 
-    qz = q[: min(samples, 256)]
-    qz2, pz2 = _twist(qz, np.zeros_like(qz), nu)
-    zero_res = float(np.max([np.max(np.abs(qz2 + qz)),
-                             np.max(np.abs(pz2))]))
-
-    qf2, pf2 = _twist(qf, pf, nu)
-    ident_res = float(np.max(_batch_dist(qf, pf, qf2, pf2)))
-
-    cont = []
-    for delta in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
-        qd, pd = _twist(qc, delta * pc, nu)
-        cont.append(float(np.max(np.maximum(
-            np.max(np.abs(qd + qc), axis=1),
-            np.max(np.abs(pd), axis=1)))))
-    cont_ok = all(x <= 4.0 * d for x, d in
-                  zip(cont, (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)))
+    if nu.kind == "dehn":
+        qz = q[: min(samples, 256)]
+        qz2, pz2 = _twist(qz, np.zeros_like(qz), nu)
+        residuals["zero_section_antipode"] = float(np.max([
+            np.max(np.abs(qz2 + qz)), np.max(np.abs(pz2))]))
+        deltas = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
+        cont = []
+        for delta in deltas:
+            qd, pd = _twist(qc, delta * pc, nu)
+            cont.append(float(np.max(np.maximum(
+                np.max(np.abs(qd + qc), axis=1),
+                np.max(np.abs(pd), axis=1)))))
+        residuals["zero_section_continuity"] = cont[-1]
+        details["continuity_monotone"] = all(
+            x <= 4.0 * d for x, d in zip(cont, deltas))
 
     return ResidualReport(
         name="model-twist",
         samples=samples,
-        residuals={
-            **residuals,
-            "zero_section_antipode": zero_res,
-            "identity_region": ident_res,
-            "zero_section_continuity": cont[-1],
-        },
+        residuals=residuals,
         tolerance=tolerance,
-        details={"dim": dim, "seed": seed, "epsilon": e,
-                 "continuity_monotone": bool(cont_ok)},
+        details=details,
     )
 
 
 def verify_involution_splitting(kind: str, nu: ProfileFunction, dim: int,
                                 samples: int = 10000, seed: int = 0,
-                                fd_step: float = 1e-5,
                                 tolerance: Optional[float] = None
                                 ) -> ResidualReport:
     """Certify the splitting of the model twist into involutions.
@@ -771,9 +756,9 @@ def verify_involution_splitting(kind: str, nu: ProfileFunction, dim: int,
         qt, _ = ctilde(q[b], p[b])
         return {
             "antisymplectic_c": _symplectic_residual(
-                cmap, q[b], p[b], qc, -1.0, step=fd_step),
+                cmap, q[b], p[b], qc, -1.0),
             "antisymplectic_ctilde": _symplectic_residual(
-                ctilde, q[b], p[b], qt, -1.0, step=fd_step),
+                ctilde, q[b], p[b], qt, -1.0),
         }
 
     residuals = _blockwise_max(block, samples)

@@ -159,6 +159,30 @@ def flat_torus_crossings(a, b, c, d):
 
 
 # ---------------------------------------------------------------------------
+# Stereographic cotangent charts by finite differences.
+
+
+def inverse_stereographic(u, s):
+    """The point of S^n in R^{n+1} that projects to u from the pole
+    s * e_last, rowwise: (2u, s (|u|^2 - 1)) / (1 + |u|^2)."""
+    uu = np.sum(u * u, axis=1, keepdims=True)
+    return np.hstack([2.0 * u, s[:, None] * (uu - 1.0)]) / (1.0 + uu)
+
+
+def oracle_chart_covector(u, p, s, h=1e-5):
+    """The chart covector J^T p, with J the central-difference Jacobian
+    of inverse_stereographic at u, shape (rows, n+1, n)."""
+    cols = []
+    for j in range(u.shape[1]):
+        e = np.zeros(u.shape[1])
+        e[j] = h
+        cols.append((inverse_stereographic(u + e, s)
+                     - inverse_stereographic(u - e, s)) / (2.0 * h))
+    jac = np.stack(cols, axis=2)
+    return np.sum(jac * p[:, :, None], axis=1)
+
+
+# ---------------------------------------------------------------------------
 # ODE integration oracles for the model geometry.  These integrate the
 # relevant Hamiltonian vector fields numerically and never touch the
 # closed-form trigonometric solutions they are used to certify.

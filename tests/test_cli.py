@@ -222,13 +222,27 @@ class TestVerifyModel:
                        "and <= 1e150\n")
 
     def test_largest_epsilon_runs(self, capsys):
+        # the Dehn profile stops at epsilon = pi; an admissible one takes
+        # any epsilon
         code, out, _ = run(capsys, "verify-model", "--check", "all",
                            "--dim", "1", "--samples", "20",
-                           "--epsilon", "1e150", "--format", "structured")
+                           "--epsilon", "1e150", "--lambda", "1.0",
+                           "--format", "structured")
         # the residuals are huge but finite: the checks fail, with no
         # traceback
         assert code == 1
-        assert json.loads(out)["passed"] is False
+        doc = json.loads(out)
+        assert doc["passed"] is False
+        assert all(v is not None for r in doc["residuals"]
+                   for v in r["residuals"].values())
+
+    def test_dehn_epsilon_past_pi_rejected(self, capsys):
+        code, out, err = run(capsys, "verify-model", "--check", "twist",
+                             "--samples", "50", "--epsilon", "3.5")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("twistcheck: error: ")
+        assert "epsilon" in err and "pi" in err
 
     def test_bad_profile_parameters(self, capsys):
         code, _, err = run(capsys, "verify-model", "--check", "lemma",

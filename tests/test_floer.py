@@ -245,12 +245,6 @@ class TestDehnTwist:
         with pytest.raises(fl.NonTransverseError):
             fl.dehn_twist(s, r0, 1, twist=[c0], carry=[reversed_curve(c0)])
 
-    def test_contractible_twist_curve_rejected(self):
-        s = sc.grid_torus(4)
-        square = sc.grid_path_curve(s, 4, [(0, 0), (1, 0), (1, 1), (0, 1)])
-        with pytest.raises(fl.FloerError):
-            fl.dehn_twist(s, square, 1, twist=[sc.grid_col(s, 4, 2)])
-
     def test_carried_s_maps_to_image(self):
         s = sc.grid_torus(4)
         r0 = sc.grid_row(s, 4, 0)

@@ -51,10 +51,10 @@ EXTRA_CASES = ([(verb, name, n, ())
                   for name in LES_SCENARIOS for power in ("-2", "3")])
 
 # verify-model cases: (kind, dim, extra flags, exit status).  An admissible
-# profile has nu(0) = lambda < pi, so its twist does not approach the
-# antipode along rays: the twist verdict fails, and the report pins that.
+# profile has nu(0) = lambda < pi and does not extend over the zero
+# section, so its twist report has no zero-section residuals and passes.
 MODEL_CASES = ([(kind, dim, (), 0) for kind in ("id", "r") for dim in (2, 3)]
-               + [("r", 3, ("--lambda", "1.0"), 1)])
+               + [("r", 3, ("--lambda", "1.0"), 0)])
 MODEL_SAMPLES = 20000
 MODEL_SEED = 7
 

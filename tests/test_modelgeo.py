@@ -6,7 +6,8 @@ import pytest
 from twistcheck import modelgeo as mg
 from twistcheck import report as rp
 
-from oracles import oracle_geodesic_flow, oracle_suspension_flow
+from oracles import (oracle_chart_covector, oracle_geodesic_flow,
+                     oracle_suspension_flow)
 
 
 def batch(q, p):
@@ -80,6 +81,15 @@ class TestProfiles:
         assert np.all(d[v[1:] > 1e-9] < 0)
         assert np.all(v >= 0) and np.all(v < np.pi)
         assert np.all(nu(np.linspace(0.8, 3.0, 50)) == 0.0)
+
+    def test_dehn_epsilon_at_most_pi(self):
+        # (pi - r)(1 - step) stays >= 0 and non-increasing up to
+        # epsilon = pi and dips below 0 past it (-3.3e-5 at 3.5)
+        v = mg.ProfileFunction("dehn", epsilon=np.pi)(
+            np.linspace(0.0, np.pi, 200001))
+        assert np.all(v >= 0) and np.all(np.diff(v) <= 0)
+        with pytest.raises(mg.ModelError, match="epsilon <= pi"):
+            mg.ProfileFunction("dehn", epsilon=3.5)
 
     def test_admissible_contract(self):
         nu = mg.ProfileFunction("admissible", epsilon=0.5, lam=2.0)
@@ -241,6 +251,44 @@ class TestModelTwist:
         assert rep.residuals["identity_region"] == 0.0
         assert rep.residuals["symplectic"] < 1e-5
         assert rep.details["continuity_monotone"]
+
+    def test_admissible_report_skips_zero_section(self):
+        # nu(0) = lam < pi: the twist does not extend over the zero
+        # section, so neither zero-section residual is reported
+        nu = mg.ProfileFunction("admissible", epsilon=0.5, lam=1.0)
+        rep = mg.verify_model_twist(nu, 2, samples=2000, seed=7,
+                                    tolerance=1e-5)
+        assert rep.passed, rep.as_dict()
+        assert set(rep.residuals) == {"invariants", "symplectic",
+                                      "identity_region"}
+        assert "continuity_monotone" not in rep.details
+
+
+class TestCharts:
+    @staticmethod
+    def far_from_pole(rng, dim, pole):
+        # mirror each sample into the hemisphere opposite the pole
+        q, p = mg.random_batch(dim, 500, rng, 0.05, 2.5)
+        near = np.sign(q[:, -1]) == pole
+        q[near, -1] *= -1.0
+        p[near, -1] *= -1.0
+        return q, p, np.full(len(q), pole)
+
+    @pytest.mark.parametrize("pole", [1.0, -1.0])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_covector_matches_jacobian_oracle(self, rng, dim, pole):
+        q, p, s = self.far_from_pole(rng, dim, pole)
+        u, w = mg._to_chart(q, p, s)
+        assert np.max(np.abs(w - oracle_chart_covector(u, p, s))) < 1e-8
+
+    @pytest.mark.parametrize("pole", [1.0, -1.0])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_round_trip(self, rng, dim, pole):
+        q, p, s = self.far_from_pole(rng, dim, pole)
+        q2, p2 = mg._from_chart(*mg._to_chart(q, p, s), s)
+        assert dist((q, p), (q2, p2)) < 1e-10
+        assert np.max(np.abs(np.linalg.norm(q2, axis=1) - 1.0)) < 1e-10
+        assert np.max(np.abs(np.sum(q2 * p2, axis=1))) < 1e-10
 
 
 class TestC0Star:

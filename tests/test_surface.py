@@ -88,8 +88,8 @@ class TestDartWords:
     @pytest.mark.parametrize("name", ["genus2-crossing", "torus-les"])
     def test_twisted_numbering_is_canonical(self, name, k):
         scen = sc.BUILDERS[name]()
-        out = fl._dehn_twist(scen.surface, scen.s_curve, k,
-                             [scen.n_curve], [scen.q_curve])
+        out = fl.dehn_twist(scen.surface, scen.s_curve, k,
+                            [scen.n_curve], [scen.q_curve])
         assert out.surface is not scen.surface
         self.assert_canonical(out.surface)
 
