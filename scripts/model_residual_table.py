@@ -13,6 +13,8 @@ Usage: python3 scripts/model_residual_table.py [--samples 4000]
 
 import argparse
 
+import numpy as np
+
 from twistcheck import modelgeo as mg
 
 
@@ -23,6 +25,9 @@ def main():
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--epsilon", type=float, default=1.0)
     args = ap.parse_args()
+    # the Dehn profile pi - r needs 0 < epsilon <= pi
+    if not 0 < args.epsilon <= np.pi:
+        ap.error("--epsilon must be a number > 0 and <= pi")
 
     nu = mg.ProfileFunction("dehn", args.epsilon)
     K = mg.NormHamiltonian.bump_squared(0.3)

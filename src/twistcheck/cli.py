@@ -251,8 +251,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse takes a value such as "-inf" or "-1e5" for an option: only
+# "-1" or "-.5" look to it like negative numbers
+_FLOAT_OPTIONS = ("--epsilon", "--lambda", "--tolerance")
+
+
+def _glue_float_values(argv):
+    """argv with each "--opt -x" of a float option written "--opt=-x", so
+    that the range checks, not argparse, judge the value."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in _FLOAT_OPTIONS and arg.startswith("-"):
+            try:
+                float(arg)
+            except ValueError:
+                pass
+            else:
+                out[-1] += "=" + arg
+                continue
+        out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(
+        _glue_float_values(sys.argv[1:] if argv is None else argv))
     try:
         if args.verb == "verify-model":
             report = _run_model(args)

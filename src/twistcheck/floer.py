@@ -3,19 +3,23 @@ surfaces over GF(2).
 
 Intersections are crossings at vertices where the edge-ends of the two
 curves interleave in the rotation; the differential counts embedded
-bigon regions of the complement; the Dehn twist is performed by cutting
-along the twist curve and regluing through a grid annulus in which the
-twisted curve runs as a staircase and other curves are carried straight
-across.
+bigon regions of the complement, and minimal position is reached by
+removing such bigons from the arrangement of the two curves, which
+edits no surface; the Dehn twist is performed by cutting along the
+twist curve and regluing through a grid annulus in which the twisted
+curve runs as a staircase and other curves are carried straight across.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from . import gf2
-from .surface import (Curve, Surface, _cut_cells, _expand, _face_classes,
-                      _mint, cut_along)
+# floer uses no cut_along of its own; the binding stays for perfbench's
+# check that tracing patches from-imports
+from .surface import (Curve, Surface, _cut_cells, _face_classes, _mint,
+                      cut_along)
 
 
 class FloerError(Exception):
@@ -101,90 +105,132 @@ def find_intersections(l0: Curve, l1: Curve) -> list[IntersectionPoint]:
 
 
 # ---------------------------------------------------------------------------
-# complementary regions
+# the arrangement of two curves and the pieces of its complement
 
 
-@dataclass
-class Region:
-    index: int
-    faces: list
-    chi: int
-    circles: list          # each circle: list of boundary darts
-    corners: list          # (circle idx, position, vertex, d_in, d_out)
+class _Arrangement:
+    """Two transverse curves as a graph on their crossings.
 
-    @property
-    def n_corners(self) -> int:
-        return len(self.corners)
+    Half-edges are the curve darts leaving a crossing.  alpha pairs the
+    two ends of an arc, rot[h] is the next half-edge clockwise at h's
+    crossing, region[h] is the piece of the complement left of h's arc,
+    and chi[r] is the Euler characteristic of piece r.  The boundary
+    circles through crossings are the orbits of h -> rot[alpha[h]].
+    degree maps each crossing left to its mod-2 degree.  Once no
+    crossing is left, sides[i] holds the pieces left and right of curve
+    i.  Bigon removal edits only these dictionaries.
+    """
 
-    def is_bigon(self) -> bool:
-        if self.chi != 1 or len(self.circles) != 1 or self.n_corners != 2:
-            return False
-        (_, _, v1, _, _), (_, _, v2, _, _) = self.corners
-        return v1 != v2
+    def __init__(self, l0: Curve, l1: Curve):
+        s = l0.surface
+        self.points = find_intersections(l0, l1)
+        self.degree = {p.vertex: p.degree for p in self.points}
+        self.vertex_of = vertex_of = s.vertex_of
+        on_curve = l0.edges | l1.edges
+        face_of = s.face_of
+        reg_of, n_regions = _face_classes(face_of, s.n_faces, on_curve)
 
+        # chi = interior vertices - interior edges + faces (sector
+        # vertices and boundary edge sides cancel)
+        chi = [0] * n_regions
+        for f in range(s.n_faces):
+            chi[reg_of[f]] += 1
+        for e in range(s.n_edges):
+            if e not in on_curve:
+                chi[reg_of[face_of[2 * e]]] -= 1
+        curve_vertices = {vertex_of[d] for e in on_curve
+                          for d in (2 * e, 2 * e + 1)}
+        for v, rot in enumerate(s.rotations):
+            if v not in curve_vertices:
+                chi[reg_of[face_of[rot[0] ^ 1]]] += 1
+        self.chi = dict(enumerate(chi))
 
-def _curve_edge_map(curves):
-    m = {}
-    for ci, cur in enumerate(curves):
-        for d in cur.darts:
-            m[d // 2] = (ci, d)
-    return m
+        self.alpha = {}
+        self.sides = []
+        for cur in (l0, l1):
+            darts = cur.darts
+            at = [i for i, d in enumerate(darts)
+                  if vertex_of[d] in self.degree]
+            for i, j in zip(at, at[1:] + at[:1]):
+                h, g = darts[i], darts[j - 1] ^ 1
+                self.alpha[h], self.alpha[g] = g, h
+            self.sides.append((reg_of[face_of[darts[0]]],
+                               reg_of[face_of[darts[0] ^ 1]]))
+        self.rot = {}
+        for v in self.degree:
+            hs = [d for d in s.rotations[v] if d >> 1 in on_curve]
+            self.rot.update(zip(hs, hs[1:] + hs[:1]))
+        self.region = {h: reg_of[face_of[h]] for h in self.alpha}
 
+    def circles(self) -> list[list[int]]:
+        """The boundary circles through crossings, as half-edge lists."""
+        seen, out = set(), []
+        for h in self.alpha:
+            if h in seen:
+                continue
+            out.append([])
+            while h not in seen:
+                seen.add(h)
+                out[-1].append(h)
+                h = self.rot[self.alpha[h]]
+        return out
 
-def _region_census(s: Surface, curves) -> list[Region]:
-    cmap = _curve_edge_map(curves)
-    curve_darts = set()
-    for e in cmap:
-        curve_darts.update((2 * e, 2 * e + 1))
-    phi, face_of, vertex_of = s.phi, s.face_of, s.vertex_of
+    def bigons(self) -> list[tuple[int, int]]:
+        """Circles (h0, h1) at two crossings that bound a disk piece."""
+        circles = self.circles()
+        n_circles = Counter(self.region[c[0]] for c in circles)
+        out = []
+        for c in circles:
+            r = self.region[c[0]]
+            if len(c) != 2 or self.chi[r] != 1 or n_circles[r] != 1:
+                continue
+            x, y = (self.vertex_of[h] for h in c)
+            if x == y:
+                continue
+            if self.degree[x] == self.degree[y]:
+                raise FloerError("bigon violates the mod-2 grading")
+            out.append((c[0], c[1]))
+        return out
 
-    reg_of, n_regions = _face_classes(face_of, s.n_faces, cmap)
-    regions = [Region(i, [], 0, [], []) for i in range(n_regions)]
-    for f in range(s.n_faces):
-        regions[reg_of[f]].faces.append(f)
+    def _glue(self, a: int, b: int):
+        """Join pieces a and b across a strip, which lowers chi by one."""
+        if a != b:
+            self.chi[a] += self.chi.pop(b)
+            for h, r in self.region.items():
+                if r == b:
+                    self.region[h] = a
+        self.chi[a] -= 1
 
-    # chi = interior vertices - interior edges + faces (sector vertices
-    # and boundary edge sides cancel)
-    int_edges = [0] * n_regions
-    for e in range(s.n_edges):
-        if e not in cmap:
-            int_edges[reg_of[face_of[2 * e]]] += 1
-    int_verts = [0] * n_regions
-    curve_vertices = {vertex_of[d] for d in curve_darts}
-    for v, rot in enumerate(s.rotations):
-        if v not in curve_vertices:
-            int_verts[reg_of[face_of[rot[0] ^ 1]]] += 1
-    for i, r in enumerate(regions):
-        r.chi = int_verts[i] - int_edges[i] + len(r.faces)
+    def remove(self, h0: int, h1: int):
+        """Push one curve across the bigon (h0, h1), deleting its corners
+        x = tail(h0) and y = tail(h1)."""
+        alpha, rot, region = self.alpha, self.rot, self.region
+        # clockwise at x: alpha h1, h0, c1x, c0x; at y: alpha h0, h1,
+        # c0y, c1y
+        c1x, c0y = rot[h0], rot[h1]
+        c0x, c1y = rot[c1x], rot[c0y]
+        self._glue(region[h0], region[alpha[h1]])
+        self._glue(region[c0x], region[c1y])
+        # the far ends of the arcs that leave the bigon become one arc
+        far = [(alpha[c0x], alpha[c0y]), (alpha[c1x], alpha[c1y])]
+        sides = [(region[p], region[q]) for p, q in far]
+        for h in (alpha[h0], alpha[h1], h0, h1, c1x, c0x, c0y, c1y):
+            del alpha[h], rot[h], region[h]
+        del self.degree[self.vertex_of[h0]], self.degree[self.vertex_of[h1]]
+        if self.degree:
+            for p, q in far:
+                alpha[p], alpha[q] = q, p
+        else:
+            self.sides = sides
 
-    # boundary circles: each curve-edge side, walked with the region on
-    # the left; the next side starts at the first curve dart clockwise
-    # after the reversed incoming dart
-    def next_side(d):
-        g = phi[d]
-        while g not in curve_darts:
-            g = phi[g ^ 1]
-        return g
-
-    sides = sorted(curve_darts)
-    seen = set()
-    for start in sides:
-        if start in seen:
-            continue
-        circle = []
-        d = start
-        while d not in seen:
-            seen.add(d)
-            circle.append(d)
-            d = next_side(d)
-        reg = regions[reg_of[face_of[circle[0]]]]
-        ci = len(reg.circles)
-        for pos, dd in enumerate(circle):
-            nd = circle[(pos + 1) % len(circle)]
-            if cmap[dd // 2][0] != cmap[nd // 2][0]:
-                reg.corners.append((ci, pos, vertex_of[dd ^ 1], dd, nd))
-        reg.circles.append(circle)
-    return regions
+    def isotopic(self) -> bool | None:
+        """None while crossings are left.  Then, whether some piece is an
+        annulus (chi = 0) bounded by one side of each curve."""
+        if self.degree:
+            return None
+        s0, s1 = self.sides
+        return any(self.chi[r] == 0 and s0.count(r) == 1 and s1.count(r) == 1
+                   for r in s0)
 
 
 # ---------------------------------------------------------------------------
@@ -198,37 +244,22 @@ class FloerComplex:
     generators: dict       # degree -> ordered list of vertices
 
 
-def _bigon_pairs(s: Surface, regions, l0: Curve):
-    """(x, y) vertex pairs with a bigon running along l0 from x to y."""
-    l0_edges = l0.edges
-    pairs = []
-    for r in regions:
-        if not r.is_bigon():
-            continue
-        (c1, p1_, v1, _, d1out), (c2, p2_, v2, _, d2out) = r.corners
-        # the corner whose outgoing boundary arc lies on l0 is x
-        if (d1out // 2) in l0_edges:
-            pairs.append((v1, v2))
-        else:
-            pairs.append((v2, v1))
-    return pairs
-
-
 def floer_complex(l0: Curve, l1: Curve) -> FloerComplex:
     _require_noncontractible(l0, l1)
-    points = find_intersections(l0, l1)
-    regions = _region_census(l0.surface, [l0, l1])
+    arr = _Arrangement(l0, l1)
+    points = arr.points
     gens = {0: [p.vertex for p in points if p.degree == 0],
             1: [p.vertex for p in points if p.degree == 1]}
-    deg_of = {p.vertex: p.degree for p in points}
     pos = {0: {v: i for i, v in enumerate(gens[0])},
            1: {v: i for i, v in enumerate(gens[1])}}
     d = {0: gf2.zeros(len(gens[1]), len(gens[0])),
          1: gf2.zeros(len(gens[0]), len(gens[1]))}
-    for x, y in _bigon_pairs(l0.surface, regions, l0):
-        kx = deg_of[x]
-        if deg_of[y] != 1 - kx:
-            raise FloerError("bigon violates the mod-2 grading")
+    for h0, h1 in arr.bigons():
+        # the bigon runs along l0 from x to y
+        x, y = arr.vertex_of[h0], arr.vertex_of[h1]
+        if h0 >> 1 not in l0.edges:
+            x, y = y, x
+        kx = arr.degree[x]
         d[kx][pos[1 - kx][y], pos[kx][x]] ^= 1
     cx = gf2.ChainComplex({0: len(gens[0]), 1: len(gens[1])}, d, mod2=True)
     return FloerComplex(cx, points, gens)
@@ -383,212 +414,19 @@ def dehn_twist(surface: Surface, s_curve: Curve, k: int,
 
 
 # ---------------------------------------------------------------------------
-# tightening (bigon removal)
-
-
-class _Degenerate(Exception):
-    """Corridor hit a repeated face or edge; refine globally and retry."""
-
-
-def _walk_sector(s: Surface, start: int, stop: int):
-    """Darts strictly between start and stop in clockwise order, plus
-    the corner faces from the start side to the stop side."""
-    darts = []
-    faces = [s.face_of[start ^ 1]]
-    d = s.sigma(start)
-    while d != stop:
-        darts.append(d)
-        faces.append(s.face_of[d ^ 1])
-        d = s.sigma(d)
-    return darts, faces
-
-
-def _corner_pieces(s: Surface, din: int, dout: int, want_left,
-                   curve_edges):
-    """Crossed darts and corridor faces where the pushed path rounds one
-    vertex, entering along din and leaving along dout.
-
-    want_left selects the sector left of the din -> dout direction; with
-    want_left None (at the bigon corners) the unique sector free of
-    curve darts is taken.  Pieces are ordered from the din side to the
-    dout side.
-    """
-    darts_a, faces_a = _walk_sector(s, din ^ 1, dout)
-    darts_b, faces_b = _walk_sector(s, dout, din ^ 1)
-    darts_b, faces_b = list(reversed(darts_b)), list(reversed(faces_b))
-    if want_left is None:
-        a_clean = not any(d // 2 in curve_edges for d in darts_a)
-        b_clean = not any(d // 2 in curve_edges for d in darts_b)
-        if a_clean == b_clean:
-            raise _Degenerate("no unique clean sector at a bigon corner")
-        return (darts_a, faces_a) if a_clean else (darts_b, faces_b)
-    pick = (darts_a, faces_a) if want_left else (darts_b, faces_b)
-    if any(d // 2 in curve_edges for d in pick[0]):
-        raise FloerError("curve dart inside a corridor sector")
-    return pick
-
-
-def _consecutive_run(l1: Curve, arc_edges):
-    """Start index and length of the cyclic run of l1 darts in arc_edges."""
-    n = len(l1.darts)
-    flags = [d // 2 in arc_edges for d in l1.darts]
-    q = sum(flags)
-    if q == 0 or q == n:
-        raise FloerError("bigon arc does not leave room to reroute")
-    start = next(i for i in range(n)
-                 if flags[i] and not flags[(i - 1) % n])
-    if not all(flags[(start + t) % n] for t in range(q)):
-        raise FloerError("bigon arc is not a consecutive run of the curve")
-    return start, q
-
-
-def _remove_bigon(l0: Curve, l1: Curve, region: Region):
-    """Reroute l1 around the far side of the bigon's l0 arc, removing
-    the two corner crossings.  Returns the new (surface, l0, l1)."""
-    s = l0.surface
-    circle = region.circles[0]
-    (_, pa, _, _, oa), (_, pb, _, _, ob) = region.corners
-    n = len(circle)
-    if (oa // 2) in l0.edges:
-        x_pos, y_pos = pa, pb
-    else:
-        x_pos, y_pos = pb, pa
-    # boundary arcs with the bigon on the left: l0 from corner x to
-    # corner y, l1 back from y to x
-    a0_walk = [circle[(x_pos + 1 + t) % n]
-               for t in range((y_pos - x_pos) % n)]
-    a1_walk = [circle[(y_pos + 1 + t) % n]
-               for t in range((x_pos - y_pos) % n)]
-    arc_edges = {d // 2 for d in a1_walk}
-
-    start, q = _consecutive_run(l1, arc_edges)
-    nl1 = len(l1.darts)
-    run = [l1.darts[(start + t) % nl1] for t in range(q)]
-    p_before = l1.darts[(start - 1) % nl1]
-    p_after = l1.darts[(start + q) % nl1]
-    z0, z1 = s.tail(run[0]), s.head(run[-1])
-
-    # orient the l0 arc from z0 to z1; the walked darts keep the bigon
-    # on their left, so the far side of the corridor is the left of
-    # t_list exactly when the walk had to be reversed
-    if s.tail(a0_walk[0]) == z0:
-        t_list = list(a0_walk)
-        far_left = False
-    else:
-        t_list = [d ^ 1 for d in reversed(a0_walk)]
-        far_left = True
-    if s.tail(t_list[0]) != z0 or s.head(t_list[-1]) != z1:
-        raise FloerError("bigon boundary bookkeeping failed")
-
-    curve_edges = l0.edges | l1.edges
-    ins = [p_before] + t_list
-    outs = t_list + [p_after]
-    corridor_faces = []
-    crossed = []
-    for i, (din, dout) in enumerate(zip(ins, outs)):
-        corner = i == 0 or i == len(ins) - 1
-        darts, faces = _corner_pieces(s, din, dout,
-                                      None if corner else far_left,
-                                      curve_edges)
-        if corridor_faces:
-            if corridor_faces[-1] != faces[0]:
-                raise _Degenerate("corridor faces fail to join up")
-            faces = faces[1:]
-        corridor_faces += faces
-        crossed += darts
-
-    if len(set(corridor_faces)) != len(corridor_faces):
-        raise _Degenerate("corridor revisits a face")
-    crossed_edges = [d // 2 for d in crossed]
-    if len(set(crossed_edges)) != len(crossed_edges):
-        raise _Degenerate("corridor crosses an edge twice")
-
-    # subdivide the gate edges and every crossed edge; when the curve
-    # consists of the arc plus a single extra edge, that edge carries
-    # both gates and is cut into three
-    same_gate = p_before == p_after
-    counts = {e: 2 for e in crossed_edges}
-    counts[p_before // 2] = 3 if same_gate else 2
-    if not same_gate:
-        counts[p_after // 2] = 2
-    s2, parts = s.subdivide_edges(counts)
-
-    def midpoints(d):
-        """Subdivision vertices along the dart direction."""
-        return [s2.head(x) for x in _expand([d], parts)[:-1]]
-
-    if same_gate:
-        # p_before runs z1 -> z0; the corridor leaves near z0 and
-        # returns near z1
-        m_w, m_u = midpoints(p_before)
-    else:
-        m_u = midpoints(p_before)[0]
-        m_w = midpoints(p_after)[0]
-    m_cross = [s2.head(2 * parts[d // 2][0]) for d in crossed]
-
-    s3, spokes = s2.cone_faces(corridor_faces)
-    # the parts of each edge of s, numbered on s3
-    parts3 = [[s3.renumber[p] for p in ps] for ps in parts]
-
-    def spoke_at(face, vertex):
-        hits = [i for i, d in enumerate(s2.words[face])
-                if s2.tail(d) == vertex]
-        if len(hits) != 1:
-            raise _Degenerate("ambiguous corridor attachment")
-        return spokes[face][hits[0]]
-
-    gates = [m_u] + m_cross + [m_w]
-    path = []
-    for f, g_in, g_out in zip(corridor_faces, gates, gates[1:]):
-        path += [2 * spoke_at(f, g_in), 2 * spoke_at(f, g_out) + 1]
-
-    entry = _expand([p_before], parts3)
-    if same_gate:
-        l1_darts = [entry[1]] + path
-    else:
-        kept = []
-        i = (start + q + 1) % nl1
-        while l1.darts[i] != p_before:
-            kept.append(l1.darts[i])
-            i = (i + 1) % nl1
-        exit_ = _expand([p_after], parts3)
-        l1_darts = [entry[0]] + path + [exit_[1]] + _expand(kept, parts3)
-    return s3, l0.mapped(s3, parts3), Curve(s3, l1_darts, l1.name)
-
-
-# global refinements tighten_pair makes before it gives up
-_MAX_REFINES = 5
+# minimal position
 
 
 def tighten_pair(l0: Curve, l1: Curve):
-    """Remove complementary bigons until the pair is in minimal position."""
-    refines = 0
-    while True:
-        find_intersections(l0, l1)  # validates transversality
-        regions = _region_census(l0.surface, [l0, l1])
-        bigons = [r for r in regions if r.is_bigon()]
-        if not bigons:
-            return l0, l1
-        bigons.sort(key=lambda r: (len(r.circles[0]), r.index))
-        try:
-            _, l0, l1 = _remove_bigon(l0, l1, bigons[0])
-        except _Degenerate:
-            refines += 1
-            if refines > _MAX_REFINES:
-                raise FloerError("bigon removal failed to stabilize "
-                                 "after repeated refinement")
-            fine, parts = l0.surface.refined(1)
-            l0 = l0.mapped(fine, parts)
-            l1 = l1.mapped(fine, parts)
+    """Remove complementary bigons until the pair is in minimal position
+    (the bigon criterion, Farb and Margalit, Primer, Prop. 1.7).
 
-
-def _are_isotopic_disjoint(l0: Curve, l1: Curve) -> bool:
-    """Disjoint embedded curves are isotopic iff they cobound an annulus
-    component of the complement."""
-    cut = cut_along(l0.surface, [l0, l1])
-    return any(comp.is_annulus()
-               and {b.curve_index for b in comp.boundary} == {0, 1}
-               for comp in cut.components)
+    Returns the graded counts of the crossings left and, when none is
+    left, whether the curves are isotopic (None otherwise)."""
+    arr = _Arrangement(l0, l1)
+    while bigons := arr.bigons():
+        arr.remove(*bigons[0])
+    return gf2.GradedDims(Counter(arr.degree.values())), arr.isotopic()
 
 
 def rank_hf(l0: Curve, l1: Curve) -> gf2.GradedDims:
@@ -601,15 +439,8 @@ def rank_hf(l0: Curve, l1: Curve) -> gf2.GradedDims:
         return gf2.GradedDims({0: 1, 1: 1})
     if l0.edges & l1.edges:
         raise NonTransverseError("curves share edges; subdivide first")
-    if set(l0.vertices) & set(l1.vertices):
-        l0, l1 = tighten_pair(l0, l1)
-    if not (set(l0.vertices) & set(l1.vertices)):
-        if _are_isotopic_disjoint(l0, l1):
-            return gf2.GradedDims({0: 1, 1: 1})
-        return gf2.GradedDims({})
-    pts = find_intersections(l0, l1)
-    return gf2.GradedDims({0: sum(1 for p in pts if p.degree == 0),
-                           1: sum(1 for p in pts if p.degree == 1)})
+    counts, isotopic = tighten_pair(l0, l1)
+    return gf2.GradedDims({0: 1, 1: 1}) if isotopic else counts
 
 
 def twist_rank_sequence(s_curve: Curve, q_curve: Curve, n_curve: Curve,

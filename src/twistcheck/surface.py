@@ -328,10 +328,6 @@ class Curve:
     def edges(self):
         return frozenset(d // 2 for d in self.darts)
 
-    @property
-    def vertices(self):
-        return [self.surface.tail(d) for d in self.darts]
-
     def mapped(self, surface: Surface, parts) -> "Curve":
         """Transport to a refinement in which edge e became the edges
         parts[e], listed tail to head."""

@@ -200,7 +200,8 @@ class TestVerifyModel:
         assert code == 1
         assert "overall: FAIL" in out
 
-    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    # "-inf" and "-1e5" do not look like negative numbers to argparse
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf", "-inf", "-1e5"])
     def test_meaningless_tolerance_rejected(self, capsys, tol):
         code, out, err = run(capsys, "verify-model", "--check", "twist",
                              "--dim", "1", "--samples", "200",
@@ -210,7 +211,8 @@ class TestVerifyModel:
         assert err == ("twistcheck: error: --tolerance must be a finite "
                        "number >= 0\n")
 
-    @pytest.mark.parametrize("eps", ["0", "nan", "inf", "1e308", "1e151"])
+    @pytest.mark.parametrize("eps", ["0", "nan", "inf", "1e308", "1e151",
+                                     "-1e5", "-inf"])
     def test_unsampleable_epsilon_rejected(self, capsys, eps):
         # inf and 1e308 overflow numpy's uniform draw, and from about
         # 1.3e154 the squared radius of the handle samples overflows

@@ -1,10 +1,15 @@
+import functools
+
+import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from twistcheck import floer as fl
 from twistcheck import scenarios as sc
 from twistcheck import surface as sf
 
-from generators import reversed_curve
+from generators import (grid_dipped_row, grid_serpentine, random_simple_loop,
+                        reversed_curve)
 from oracles import flat_torus_crossings
 
 
@@ -14,9 +19,13 @@ def square_torus():
         sf.Curve.from_symbols(s, ["b"], "b")
 
 
-def regions(l0, l1):
-    fl.find_intersections(l0, l1)  # validates transversality
-    return fl._region_census(l0.surface, [l0, l1])
+def circles_by_region(arr):
+    """region -> lengths of its boundary circles (one corner per
+    half-edge)."""
+    out = {r: [] for r in arr.chi}
+    for c in arr.circles():
+        out[arr.region[c[0]]].append(len(c))
+    return out
 
 
 def hf(l0, l1):
@@ -74,30 +83,29 @@ class TestIntersections:
 class TestRegions:
     def test_square_torus_complement_is_a_square(self):
         _, a, b = square_torus()
-        found = regions(a, b)
-        assert len(found) == 1
-        r = found[0]
-        assert r.chi == 1 and len(r.circles) == 1 and r.n_corners == 4
+        arr = fl._Arrangement(a, b)
+        assert list(arr.chi.values()) == [1]
+        assert list(circles_by_region(arr).values()) == [[4]]
 
     def test_grid_row_col_complement(self):
         s = sc.grid_torus(5)
-        found = regions(sc.grid_row(s, 5, 0), sc.grid_col(s, 5, 0))
-        assert len(found) == 1
-        assert found[0].chi == 1 and found[0].n_corners == 4
+        arr = fl._Arrangement(sc.grid_row(s, 5, 0), sc.grid_col(s, 5, 0))
+        assert list(arr.chi.values()) == [1]
+        assert list(circles_by_region(arr).values()) == [[4]]
 
     def test_chi_additive(self):
         s = sc.grid_torus(5)
-        found = regions(sc.grid_row(s, 5, 0), wiggled_column(s))
+        arr = fl._Arrangement(sc.grid_row(s, 5, 0), wiggled_column(s))
         # cutting along both curves duplicates each crossing vertex into
         # four sector copies: total chi grows by one per crossing
-        assert sum(r.chi for r in found) == s.euler() + 3
+        assert sum(arr.chi.values()) == s.euler() + 3
         # corner count: four sectors per crossing
-        assert sum(r.n_corners for r in found) == 4 * 3
+        assert sum(len(c) for c in arr.circles()) == 4 * 3
 
     def test_isotopic_pair_has_two_bigons(self):
         s = sc.grid_torus(5)
-        found = regions(sc.grid_row(s, 5, 0), wiggled_row(s))
-        assert sum(1 for r in found if r.is_bigon()) == 2
+        arr = fl._Arrangement(sc.grid_row(s, 5, 0), wiggled_row(s))
+        assert len(arr.bigons()) == 2
 
 
 class TestFloerComplex:
@@ -155,13 +163,15 @@ class TestFloerComplex:
 class TestTighten:
     def test_wiggle_tightens_to_one_crossing(self):
         s = sc.grid_torus(5)
-        l0, l1 = fl.tighten_pair(sc.grid_row(s, 5, 0), wiggled_column(s))
-        assert len(fl.find_intersections(l0, l1)) == 1
+        left, isotopic = fl.tighten_pair(sc.grid_row(s, 5, 0),
+                                         wiggled_column(s))
+        assert left.total() == 1 and isotopic is None
 
     def test_isotopic_pair_tightens_to_disjoint(self):
         s = sc.grid_torus(5)
-        l0, l1 = fl.tighten_pair(sc.grid_row(s, 5, 0), wiggled_row(s))
-        assert not (set(l0.vertices) & set(l1.vertices))
+        left, isotopic = fl.tighten_pair(sc.grid_row(s, 5, 0),
+                                         wiggled_row(s))
+        assert left.total() == 0 and isotopic is True
 
     def test_rank_hf_detects_isotopy(self):
         s = sc.grid_torus(5)
@@ -179,25 +189,6 @@ class TestTighten:
         s = sc.grid_torus(5)
         r0 = sc.grid_row(s, 5, 0)
         assert fl.rank_hf(r0, r0).dims == {0: 1, 1: 1}
-
-    def test_degenerate_corridor_refines_and_retries(self, monkeypatch):
-        # the first bigon removal reports a degenerate corridor, so the
-        # pair is carried through one global refinement before the retry
-        real, calls = fl._remove_bigon, []
-
-        def degenerate_once(l0, l1, region):
-            calls.append(l0.surface)
-            if len(calls) == 1:
-                raise fl._Degenerate("forced")
-            return real(l0, l1, region)
-
-        monkeypatch.setattr(fl, "_remove_bigon", degenerate_once)
-        s = sc.grid_torus(5)
-        l0, l1 = fl.tighten_pair(sc.grid_row(s, 5, 0), wiggled_column(s))
-        assert len(fl.find_intersections(l0, l1)) == 1
-        # halving every edge makes each square an octagon, coned into
-        # eight triangles
-        assert calls[0] is s and calls[1].n_faces == 8 * s.n_faces
 
 
 class TestDehnTwist:
@@ -283,3 +274,111 @@ class TestDehnTwist:
         assert fl.rank_hf(tn, row2).total() == \
             flat_torus_crossings(k, 1, 1, 0)
         assert fl.rank_hf(tn, out.s_image).total() == 1
+
+
+# ---------------------------------------------------------------------------
+# rank_hf against the flat torus
+
+
+def grid_class(curve, n):
+    """Homology class of a curve on the n-grid torus: its net horizontal
+    and vertical steps, over n."""
+    net = {"h": 0, "v": 0}
+    for d in curve.darts:
+        net[curve.surface.edge_names[d >> 1][0]] += -1 if d & 1 else 1
+    assert net["h"] % n == 0 and net["v"] % n == 0
+    return net["h"] // n, net["v"] // n
+
+
+def flat_rank(c0, c1):
+    """rank HF of simple closed curves of classes c0 and c1 on the torus:
+    the flat crossings, all of the degree of their sign, or one in each
+    degree when the classes agree up to sign."""
+    if c0 in (c1, (-c1[0], -c1[1])):
+        return {0: 1, 1: 1}
+    det = c0[0] * c1[1] - c0[1] * c1[0]
+    assert abs(det) == flat_torus_crossings(*c0, *c1)
+    return {1: det} if det > 0 else {0: -det}
+
+
+def grid_curve_specs(n):
+    dips = st.sets(st.integers(0, n - 1), min_size=2, max_size=n).map(
+        lambda cols: tuple(zip(sorted(cols)[0::2], sorted(cols)[1::2])))
+    return st.one_of(
+        st.tuples(st.just("row"), st.integers(0, n - 1)),
+        st.tuples(st.just("col"), st.integers(0, n - 1)),
+        st.tuples(st.just("serp"), st.integers(0, n - 1),
+                  st.integers(0, (n - 1) // 2), st.integers(2, n - 2)),
+        st.tuples(st.just("dip"), dips),
+        st.tuples(st.just("loop"), st.integers(0, 2 ** 16)))
+
+
+grid_torus = functools.cache(sc.grid_torus)
+
+
+@functools.cache
+def grid_curve(n, spec):
+    s = grid_torus(n)
+    kind, *args = spec
+    if kind == "row":
+        return sc.grid_row(s, n, *args)
+    if kind == "col":
+        return sc.grid_col(s, n, *args)
+    if kind == "serp":
+        return grid_serpentine(s, n, *args)
+    if kind == "dip":
+        return grid_dipped_row(s, n, args[0])
+    return random_simple_loop(s, np.random.default_rng(args[0]))
+
+
+grid_pairs = st.integers(5, 11).flatmap(lambda n: st.tuples(
+    st.just(n), grid_curve_specs(n), grid_curve_specs(n)))
+
+
+class TestFlatTorusOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(case=grid_pairs)
+    # serpentines three and four bigons away from minimal position
+    @example(case=(9, ("row", 0), ("serp", 1, 3, 4)))
+    @example(case=(11, ("serp", 6, 4, 7), ("row", 0)))
+    # three dips: the pair ends disjoint and isotopic
+    @example(case=(8, ("row", 0), ("dip", ((0, 1), (2, 4), (5, 7)))))
+    # a serpentine and a column that never cross
+    @example(case=(7, ("serp", 0, 2, 3), ("col", 5)))
+    def test_rank_hf_matches_flat_crossings(self, case):
+        n, spec0, spec1 = case
+        l0, l1 = grid_curve(n, spec0), grid_curve(n, spec1)
+        assume(l0 is not None and l1 is not None)
+        assume(not l0.is_contractible() and not l1.is_contractible())
+        try:
+            got = fl.rank_hf(l0, l1)
+        except fl.NonTransverseError:
+            assume(False)
+        assert got.dims == flat_rank(grid_class(l0, n), grid_class(l1, n))
+
+    def test_coarse_pair_that_needed_refinement(self):
+        # on the square torus refined once, removing this pair's bigon
+        # by surgery met a corridor that revisits a face, and needed one
+        # more global refinement; on the arrangement it is one removal
+        s, _ = sc.torus_scenario().surface.refined(1)
+        l0 = sf.Curve.from_symbols(s, ["a.0", "f0.s5", "f0.s2'"])
+        l1 = sf.Curve.from_symbols(s, ["f0.s6'", "b.0", "f0.s3"])
+        # in half units, the face a.0 a.1 b.0 b.1 a.1' a.0' b.1' b.0' is
+        # the square from (0, 0) to (2, 2), and spoke f0.si runs from its
+        # i-th corner to the centre (1, 1)
+        corners = [(0, 0), (1, 0), (2, 0), (2, 1), (2, 2), (1, 2), (0, 2),
+                   (0, 1)]
+        step = {"a.0": (1, 0), "a.1": (1, 0), "b.0": (0, 1), "b.1": (0, 1)}
+        step.update({f"f0.s{i}": (1 - x, 1 - y)
+                     for i, (x, y) in enumerate(corners)})
+
+        def unit_class(curve):
+            sign = [-1 if d & 1 else 1 for d in curve.darts]
+            steps = [step[s.edge_names[d >> 1]] for d in curve.darts]
+            return tuple(sum(k * xy[i] for k, xy in zip(sign, steps)) // 2
+                         for i in (0, 1))
+
+        assert len(fl.find_intersections(l0, l1)) == 2
+        assert fl.rank_hf(l0, l1).dims == flat_rank(unit_class(l0),
+                                                    unit_class(l1))
+

@@ -44,7 +44,6 @@ ALLOWED = {
     "gf2.tensor_complex": CRITERION_9,
     "gf2.tensor_complex.offset": CRITERION_9,
     "floer.floer_complex": CRITERION_10,
-    "floer._bigon_pairs": CRITERION_10,
     "scenarios.random_torus_les_scenario": "scripts/les_random_audit.py",
     "scenarios.grid_path_curve": "scripts/les_random_audit.py",
     "surface.Surface.face_words_symbols": "perfbench/scenario_gen.py",

@@ -18,11 +18,28 @@ SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
     ("slope_rank_table.py", ["--grid", "5", "--max-power", "2"]),
 ])
 def test_script_runs(script, args):
+    out = run_script(script, args)
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert out.stdout.strip()
+
+
+@pytest.mark.parametrize("eps", ["4", "0", "-1", "nan"])
+def test_residual_table_rejects_epsilon_outside_dehn_range(eps):
+    # the Dehn profile needs 0 < epsilon <= pi: a usage error, no
+    # traceback
+    out = run_script("model_residual_table.py",
+                     ["--samples", "20", "--dims", "1", "--epsilon", eps])
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.endswith(
+        "error: --epsilon must be a number > 0 and <= pi\n")
+    assert "Traceback" not in out.stderr
+
+
+def run_script(script, args):
     src = pathlib.Path(twistcheck.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, str(SCRIPTS / script), *args],
-                         env=env, capture_output=True, text=True,
-                         timeout=120)
-    assert out.returncode == 0, out.stdout + out.stderr
-    assert out.stdout.strip()
+    return subprocess.run([sys.executable, str(SCRIPTS / script), *args],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
