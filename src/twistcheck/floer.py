@@ -5,9 +5,10 @@ Intersections are crossings at vertices where the edge-ends of the two
 curves interleave in the rotation; the differential counts embedded
 bigon regions of the complement, and minimal position is reached by
 removing such bigons from the arrangement of the two curves, which
-edits no surface; the Dehn twist is performed by cutting along the
-twist curve and regluing through a grid annulus in which the twisted
-curve runs as a staircase and other curves are carried straight across.
+edits no surface; the Dehn twist replaces the twist curve by a grid
+annulus in which the twisted curve runs as a staircase and other curves
+are carried straight across, each entering the annulus on the side that
+the sign of its crossing names.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ from dataclasses import dataclass
 from . import gf2
 # floer uses no cut_along of its own; the binding stays for perfbench's
 # check that tracing patches from-imports
-from .surface import (Curve, Surface, _cut_cells, _face_classes, _mint,
-                      cut_along)
+from .surface import Curve, Surface, _face_classes, _mint, cut_along
 
 
 class FloerError(Exception):
@@ -48,10 +48,6 @@ class IntersectionPoint:
     vertex: int
     nu: int
     degree: int
-    l0_in: int
-    l0_out: int
-    l1_in: int
-    l1_out: int
 
 
 def _passages(curve: Curve) -> dict[int, tuple[int, int]]:
@@ -84,23 +80,17 @@ def find_intersections(l0: Curve, l1: Curve) -> list[IntersectionPoint]:
     for v in sorted(set(p0) & set(p1)):
         in0, out0 = p0[v]
         in1, out1 = p1[v]
-        b0, b1 = in0 ^ 1, in1 ^ 1
-        # walk the clockwise rotation from out0 back to b0
-        order = []
-        d = s.sigma(out0)
-        while d != out0:
-            order.append(d)
-            d = s.sigma(d)
-        i_b0 = order.index(b0)
-        before = set(order[:i_b0])
-        inside = {out1, b1} & before
-        if len(inside) != 1:
+        # clockwise steps from out0 in the rotation at v; l1 crosses when
+        # exactly one of its darts lies between out0 and l0's way back
+        rot = s.rotations[v]
+        back, up, down = ((rot.index(d) - rot.index(out0)) % len(rot)
+                          for d in (in0 ^ 1, out1, in1 ^ 1))
+        if (up < back) == (down < back):
             raise NonTransverseError(
-                f"curves touch at a vertex without crossing; "
+                "curves touch at a vertex without crossing; "
                 "subdivide and perturb first")
-        nu = 1 if b1 in inside else -1
-        points.append(IntersectionPoint(v, nu, 1 if nu > 0 else 0,
-                                        in0, out0, in1, out1))
+        nu = 1 if down < back else -1
+        points.append(IntersectionPoint(v, nu, 1 if nu > 0 else 0))
     return points
 
 
@@ -277,16 +267,11 @@ class TwistOutcome:
     carried: list
 
 
-def _crossing_columns(curve: Curve, s_curve: Curve, col_of_vertex):
-    pts = find_intersections(curve, s_curve)
-    return {col_of_vertex[p.vertex]: p for p in pts}
-
-
 def dehn_twist(surface: Surface, s_curve: Curve, k: int,
                twist=(), carry=()) -> TwistOutcome:
-    """Cut along s_curve, reglue through a grid annulus, and transport
-    curves: those in `twist` as k-fold staircase strands, those in
-    `carry` straight across.
+    """Open the surface along s_curve, glue in a grid annulus, and
+    transport curves: those in `twist` as k-fold staircase strands,
+    those in `carry` straight across.
 
     k > 0 twists to the right of the oriented curve (shear in the
     direction of increasing column index).  s_curve must be
@@ -294,8 +279,6 @@ def dehn_twist(surface: Surface, s_curve: Curve, k: int,
     twist, carry = list(twist), list(carry)
     if k == 0:
         return TwistOutcome(surface, s_curve, twist, carry)
-    # a transported curve equal to S itself maps to the S image
-    is_s = [cur.edges == s_curve.edges for cur in twist + carry]
 
     # subdivide every S edge into four parts: crossings land on columns
     # divisible by four, leaving room for strands and carried verticals
@@ -303,16 +286,17 @@ def dehn_twist(surface: Surface, s_curve: Curve, k: int,
     S1 = s_curve.mapped(s1, parts)
     C = len(S1)
     col_of_vertex = {s1.tail(d): c for c, d in enumerate(S1.darts)}
-    twist1 = [None if is_s[i] else cur.mapped(s1, parts)
-              for i, cur in enumerate(twist)]
-    carry1 = [None if is_s[len(twist) + i] else cur.mapped(s1, parts)
-              for i, cur in enumerate(carry)]
-
-    crossings = [_crossing_columns(cur, S1, col_of_vertex)
-                 if cur is not None else {} for cur in twist1]
-    carried_x = [_crossing_columns(cur, S1, col_of_vertex)
-                 if cur is not None else {} for cur in carry1]
-    used_cols = [c for m in crossings + carried_x for c in m]
+    # each transported curve as None (S itself, which maps to the S
+    # image) or (curve on s1, column -> sign of its crossing with S)
+    moved = []
+    for cur in twist + carry:
+        if cur.edges == s_curve.edges:
+            moved.append(None)
+            continue
+        cur1 = cur.mapped(s1, parts)
+        moved.append((cur1, {col_of_vertex[p.vertex]: p.nu
+                             for p in find_intersections(cur1, S1)}))
+    used_cols = [c for m in moved if m for c in m[1]]
     if len(used_cols) != len(set(used_cols)):
         raise NonTransverseError(
             "two transported curves cross the twist curve at the same "
@@ -320,97 +304,79 @@ def dehn_twist(surface: Surface, s_curve: Curve, k: int,
     if not used_cols:
         return TwistOutcome(surface, s_curve, twist, carry)
 
-    # the annulus edges get ids after those of s1, whose S edges drop out
+    # the annulus edges get ids after those of s1, whose S edges drop
+    # out: right copies of S (row 0), left copies (row R), the inner
+    # horizontals and the verticals, each row by row
     R = abs(k) * C // 2 + 1
+    n0 = s1.n_edges
     names = list(s1.edge_names)
     taken = set(names)
+    for base in ([s1.edge_names[d >> 1] + "@r" for d in S1.darts]
+                 + [s1.edge_names[d >> 1] + "@l" for d in S1.darts]
+                 + [f"ann_h{r}_{c}" for r in range(1, R) for c in range(C)]
+                 + [f"ann_v{r}_{c}" for r in range(R) for c in range(C)]):
+        _mint(names, taken, base)
 
-    def fresh(base):
-        """Forward dart of a new edge named after base."""
-        return 2 * _mint(names, taken, base)
+    def h(r, c):
+        """Forward dart of the horizontal at row r, column c mod C."""
+        return 2 * (n0 + C * (0 if r == 0 else 1 if r == R else r + 1)
+                    + c % C)
 
-    # boundary copies of the S edges, oriented along S
-    rc = [fresh(s1.edge_names[S1.darts[c] // 2] + "@r") for c in range(C)]
-    lc = [fresh(s1.edge_names[S1.darts[c] // 2] + "@l") for c in range(C)]
-    h = {}
-    for r in range(R + 1):
-        for c in range(C):
-            if r == 0:
-                h[r, c] = rc[c]
-            elif r == R:
-                h[r, c] = lc[c]
-            else:
-                h[r, c] = fresh(f"ann_h{r}_{c}")
-    v = {(r, c): fresh(f"ann_v{r}_{c}") for r in range(R) for c in range(C)}
+    def v(r, c):
+        """Forward dart of the vertical at row r, column c mod C."""
+        return 2 * (n0 + C * (R + 1 + r) + c % C)
 
-    col_of_edge = {S1.darts[c] // 2: c for c in range(C)}
-
-    words = []
-    for w in s1.words:
-        nw = []
-        for d in w:
-            c = col_of_edge.get(d // 2)
-            if c is None:
-                nw.append(d)
-            else:
-                nw.append(lc[c] if d == S1.darts[c] else rc[c] ^ 1)
-        words.append(nw)
-    for r in range(R):
-        for c in range(C):
-            words.append((h[r, c], v[r, (c + 1) % C], h[r + 1, c] ^ 1,
-                          v[r, c] ^ 1))
+    # row 0 is glued to the right of S (the side carrying the reversed
+    # occurrences), row R to the left
+    glued = {}
+    for c, d in enumerate(S1.darts):
+        glued[d], glued[d ^ 1] = h(R, c), h(0, c) ^ 1
+    words = [[glued.get(d, d) for d in w] for w in s1.words]
+    words += [(h(r, c), v(r, c + 1), h(r + 1, c) ^ 1, v(r, c) ^ 1)
+              for r in range(R) for c in range(C)]
     s2 = Surface(words, names)
 
     def curve(darts, name):
         return Curve(s2, [2 * s2.renumber[d >> 1] + (d & 1) for d in darts],
                      name)
 
-    # sides: row 0 is glued to the right of S (the side carrying the
-    # reversed occurrences), row R to the left
-    corner_vertex, _ = _cut_cells(s1, [S1])
-
-    def travels_up(pt) -> bool:
-        # pt crosses S at its vertex; the incoming edge attaches to the
-        # side (odd = right) of the corner before its reversed dart
-        return (corner_vertex[pt.l0_in ^ 1] - s1.n_vertices) & 1 == 1
-
-    sign = 1 if k > 0 else -1
-
-    def up_strand(c0):
-        seq = [v[0, c0 % C]]
-        col = c0
+    def staircase(c0):
+        """Up the annulus from column c0, shearing by C per |k|."""
+        seq, col = [v(0, c0)], c0
         for r in range(1, R):
-            if sign > 0:
-                seq += [h[r, col % C], h[r, (col + 1) % C]]
+            if k > 0:
+                seq += [h(r, col), h(r, col + 1)]
                 col += 2
             else:
-                seq += [h[r, (col - 1) % C] ^ 1, h[r, (col - 2) % C] ^ 1]
+                seq += [h(r, col - 1) ^ 1, h(r, col - 2) ^ 1]
                 col -= 2
-            seq.append(v[r, col % C])
+            seq.append(v(r, col))
         assert (col - c0) % C == 0
         return seq
 
-    def up_carry(c0):
-        return ([rc[c0 % C]] + [v[r, (c0 + 1) % C] for r in range(R)]
-                + [lc[c0 % C] ^ 1])
+    def straight(c0):
+        """Up the annulus beside column c0, from right copy to left."""
+        return [h(0, c0)] + [v(r, c0 + 1) for r in range(R)] + [h(R, c0) ^ 1]
 
-    def transport(cur, xmap, splice):
+    # a crossing with nu = -1 arrives from the right of S, at row 0, and
+    # runs up the annulus; one with nu = +1 runs down
+    s_image = curve([h(0, c) for c in range(C)], s_curve.name)
+    out = []
+    for i, m in enumerate(moved):
+        if m is None:
+            out.append(s_image)
+            continue
+        cur, signs = m
+        splice = staircase if i < len(twist) else straight
         darts = []
         for d in cur.darts:
             darts.append(d)
             c = col_of_vertex.get(s1.head(d))
-            if c in xmap:
+            if c in signs:
                 seq = splice(c)
-                darts.extend(seq if travels_up(xmap[c])
-                             else [x ^ 1 for x in reversed(seq)])
-        return curve(darts, cur.name)
-
-    s_image = curve(rc, s_curve.name)
-    out_twisted = [s_image if cur is None else transport(cur, xmap, up_strand)
-                   for cur, xmap in zip(twist1, crossings)]
-    out_carried = [s_image if cur is None else transport(cur, xmap, up_carry)
-                   for cur, xmap in zip(carry1, carried_x)]
-    return TwistOutcome(s2, s_image, out_twisted, out_carried)
+                darts += seq if signs[c] < 0 else [x ^ 1 for x in seq[::-1]]
+        out.append(curve(darts, cur.name))
+    return TwistOutcome(s2, s_image, out[:len(twist)], out[len(twist):])
 
 
 # ---------------------------------------------------------------------------
@@ -437,8 +403,6 @@ def rank_hf(l0: Curve, l1: Curve) -> gf2.GradedDims:
     noncontractible: callers check it where their input enters."""
     if l0.edges == l1.edges:
         return gf2.GradedDims({0: 1, 1: 1})
-    if l0.edges & l1.edges:
-        raise NonTransverseError("curves share edges; subdivide first")
     counts, isotopic = tighten_pair(l0, l1)
     return gf2.GradedDims({0: 1, 1: 1}) if isotopic else counts
 

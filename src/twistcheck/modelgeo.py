@@ -624,17 +624,26 @@ def _symplectic_residual(map_batch, q: np.ndarray, p: np.ndarray,
     """Max-norm residual of D^T J D - target_sign * J for the map in
     stereographic cotangent charts, with central-difference Jacobians
     (step 1e-5).  q_out is the base of the image map_batch(q, p), which
-    picks the output chart; the callers have it at hand already."""
+    picks the output chart; the callers have it at hand already.
+
+    The checked maps keep |p|, so the fiber chart coordinates of each
+    row are divided by a = max(1, |p|) on both sides: one conformal
+    change, under which D^T J D = +-J still holds or fails, that keeps
+    the coordinates near unit size, where the fixed step resolves them
+    at any epsilon."""
     n = q.shape[1] - 1
     d = 2 * n
     step = 1e-5
     s_in = _chart_pole(q)
     s_out = _chart_pole(q_out)
-    x0 = np.concatenate(_to_chart(q, p, s_in), axis=1)
+    a = np.maximum(1.0, np.linalg.norm(p, axis=1))[:, None]
+    u0, w0 = _to_chart(q, p, s_in)
+    x0 = np.concatenate([u0, w0 / a], axis=1)
 
     def evaluate(x):
-        qb, pb = map_batch(*_from_chart(x[:, :n], x[:, n:], s_in))
-        return np.concatenate(_to_chart(qb, pb, s_out), axis=1)
+        qb, pb = map_batch(*_from_chart(x[:, :n], x[:, n:] * a, s_in))
+        ub, wb = _to_chart(qb, pb, s_out)
+        return np.concatenate([ub, wb / a], axis=1)
 
     cols = []
     for j in range(d):

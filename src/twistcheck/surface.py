@@ -187,10 +187,6 @@ class Surface:
     def head(self, d: int) -> int:
         return self.vertex_of[d ^ 1]
 
-    def sigma(self, d: int) -> int:
-        """Next outgoing dart clockwise at tail(d)."""
-        return self.phi[d ^ 1]
-
     def dart(self, sym: str) -> int:
         name, prime = parse_symbol(sym)
         if name not in self.edge_index:
@@ -461,37 +457,6 @@ def _face_classes(face_of: list, n_faces: int, cut_edges):
     return cls, len(number)
 
 
-def _cut_cells(surface: Surface, curves):
-    """(vertex_of_corner, edge_of_dart) of the cut along curves; see
-    cut_along for the numbering."""
-    nv, ne = surface.n_vertices, surface.n_edges
-    phi, vertex_of = surface.phi, surface.vertex_of
-    vertex_of_corner = list(vertex_of)
-    edge_of_dart = [d >> 1 for d in range(2 * ne)]
-    seen = set()
-    for cur in curves:
-        darts = cur.darts
-        for din, dout in zip(darts[-1:] + darts[:-1], darts):
-            v = vertex_of[dout]
-            if v in seen:
-                raise CurveError("cut curves must be disjoint and embedded")
-            seen.add(v)
-            e = din >> 1
-            edge_of_dart[din] = ne + 2 * e
-            edge_of_dart[din ^ 1] = ne + 2 * e + 1
-            # sigma runs clockwise: after dout the corners up to and
-            # including din' lie right of the curve, the rest left
-            side, d = 1, dout
-            while True:
-                d = phi[d ^ 1]
-                vertex_of_corner[d] = nv + 2 * v + side
-                if d == dout:
-                    break
-                if d == din ^ 1:
-                    side = 0
-    return vertex_of_corner, edge_of_dart
-
-
 def cut_along(surface: Surface, curves) -> CutResult:
     """Cut the surface open along disjoint embedded curves.
 
@@ -508,9 +473,31 @@ def cut_along(surface: Surface, curves) -> CutResult:
     their least vertex 2v + side (side 0 for a plain vertex).  Cutting
     along no curves gives the closed surface as one piece.
     """
-    nv = surface.n_vertices
-    vertex_of_corner, edge_of_dart = _cut_cells(surface, curves)
-    phi, face_of = surface.phi, surface.face_of
+    nv, ne = surface.n_vertices, surface.n_edges
+    phi, face_of, vertex_of = surface.phi, surface.face_of, surface.vertex_of
+    vertex_of_corner = list(vertex_of)
+    edge_of_dart = [d >> 1 for d in range(2 * ne)]
+    seen = set()
+    for cur in curves:
+        darts = cur.darts
+        for din, dout in zip(darts[-1:] + darts[:-1], darts):
+            v = vertex_of[dout]
+            if v in seen:
+                raise CurveError("cut curves must be disjoint and embedded")
+            seen.add(v)
+            e = din >> 1
+            edge_of_dart[din] = ne + 2 * e
+            edge_of_dart[din ^ 1] = ne + 2 * e + 1
+            # the rotation runs clockwise: after dout the corners up to
+            # and including din' lie right of the curve, the rest left
+            side, d = 1, dout
+            while True:
+                d = phi[d ^ 1]
+                vertex_of_corner[d] = nv + 2 * v + side
+                if d == dout:
+                    break
+                if d == din ^ 1:
+                    side = 0
     cls, n_comp = _face_classes(face_of, surface.n_faces,
                                 {d >> 1 for cur in curves for d in cur.darts})
 
@@ -524,7 +511,7 @@ def cut_along(surface: Surface, curves) -> CutResult:
         pieces[piece_of_vertex[x]].vertices.append(x)
     # one dart per cut edge: both darts of a plain edge lie on it
     for x, d in sorted((x, d) for d, x in enumerate(edge_of_dart)
-                       if x >= surface.n_edges or not d & 1):
+                       if x >= ne or not d & 1):
         pieces[cls[face_of[d]]].edges[x] = (vertex_of_corner[d],
                                              vertex_of_corner[phi[d]])
     for fi, w in enumerate(surface.words):

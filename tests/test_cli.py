@@ -193,6 +193,18 @@ class TestVerifyModel:
         assert code == 0
         assert "profile=admissible" in out
 
+    @pytest.mark.parametrize("check", ["twist", "splitting"])
+    @pytest.mark.parametrize("eps", ["1e5", "1e8"])
+    def test_large_epsilon_model_passes(self, capsys, check, eps):
+        # fiber chart coordinates grow like epsilon; the symplectic
+        # residual rescales them, so a fixed difference step still
+        # resolves a correct model
+        code, out, _ = run(capsys, "verify-model", "--check", check,
+                           "--lambda", "1.0", "--epsilon", eps,
+                           "--dim", "2", "--samples", "200")
+        assert code == 0, out
+        assert "overall: pass" in out
+
     def test_impossible_tolerance_fails(self, capsys):
         code, out, _ = run(capsys, "verify-model", "--check", "twist",
                            "--dim", "1", "--samples", "200",

@@ -382,3 +382,64 @@ class TestFlatTorusOracle:
         assert fl.rank_hf(l0, l1).dims == flat_rank(unit_class(l0),
                                                     unit_class(l1))
 
+
+
+# ---------------------------------------------------------------------------
+# the side of S a crossing arrives from, which dehn_twist reads off nu
+
+
+@functools.cache
+def twist_curve_case(source, n, s_spec):
+    """(S, its cut's corner vertices, curves that may cross S) on the
+    n-grid torus, S row s_spec[1] or that column reversed, or on the
+    built-in scenario source refined once, S its twist curve."""
+    if source == "grid":
+        s = grid_torus(n)
+        kind, i = s_spec
+        S = sc.grid_row(s, n, i, "S") if kind == "row" else \
+            reversed_curve(sc.grid_col(s, n, i, "S"))
+        across = [sc.grid_col(s, n, j) if kind == "row" else
+                  sc.grid_row(s, n, j) for j in range(n)]
+    else:
+        scen = sc.BUILDERS[source]()
+        s, parts = scen.surface.refined(1)
+        S = scen.s_curve.mapped(s, parts)
+        across = [c.mapped(s, parts) for c in scen.curves.values()
+                  if c.edges != scen.s_curve.edges]
+    return S, sf.cut_along(s, [S]).vertex_of_corner, across
+
+
+side_cases = st.one_of(
+    st.integers(3, 8).flatmap(lambda n: st.tuples(
+        st.just("grid"), st.just(n),
+        st.tuples(st.sampled_from(["row", "col"]), st.integers(0, n - 1)),
+        st.integers(0, 2 ** 16))),
+    st.tuples(st.sampled_from(sorted(sc.BUILDERS)), st.just(0),
+              st.just(None), st.integers(0, 2 ** 16)))
+
+
+class TestCrossingSide:
+    @settings(max_examples=200, deadline=None)
+    @given(case=side_cases)
+    def test_negative_sign_arrives_from_the_right(self, case):
+        # nu = -1 exactly when the crossing curve's reversed incoming
+        # dart has its corner on the right of S (odd side of the cut)
+        source, n, s_spec, seed = case
+        S, corner, across = twist_curve_case(source, n, s_spec)
+        s = S.surface
+        rng = np.random.default_rng(seed)
+        loops = [random_simple_loop(s, rng, S.edges) for _ in range(6)]
+        curves = across + [c for c in loops if c is not None]
+        curves += [reversed_curve(c) for c in curves]
+        checked = 0
+        for cur in curves:
+            try:
+                points = fl.find_intersections(cur, S)
+            except fl.NonTransverseError:
+                continue
+            incoming = {s.head(d): d for d in cur.darts}
+            for p in points:
+                right = (corner[incoming[p.vertex] ^ 1] - s.n_vertices) & 1
+                assert (p.nu == -1) == (right == 1), (cur.symbols(), p)
+                checked += 1
+        assert checked > 0 or source != "grid"

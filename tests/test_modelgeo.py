@@ -252,6 +252,24 @@ class TestModelTwist:
         assert rep.residuals["symplectic"] < 1e-5
         assert rep.details["continuity_monotone"]
 
+    @pytest.mark.parametrize("eps", [1.0, 1e5])
+    def test_nonsymplectic_double_fails(self, monkeypatch, eps):
+        # a twist whose fiber is stretched by 1.001 is not symplectic at
+        # any epsilon; rescaling the chart must not hide that
+        twist = mg._twist
+
+        def stretched(*args, **kwargs):
+            q, p = twist(*args, **kwargs)
+            return q, 1.001 * p
+
+        nu = mg.ProfileFunction("admissible", epsilon=eps, lam=1.0)
+        assert mg.verify_model_twist(nu, 2, samples=200).residuals[
+            "symplectic"] < 1e-5
+        monkeypatch.setattr(mg, "_twist", stretched)
+        rep = mg.verify_model_twist(nu, 2, samples=200, tolerance=1e-5)
+        assert rep.residuals["symplectic"] > 1e-3
+        assert not rep.passed
+
     def test_admissible_report_skips_zero_section(self):
         # nu(0) = lam < pi: the twist does not extend over the zero
         # section, so neither zero-section residual is reported

@@ -10,6 +10,7 @@ import pytest
 import twistcheck
 
 SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 
 @pytest.mark.parametrize("script,args", [
@@ -34,6 +35,15 @@ def test_residual_table_rejects_epsilon_outside_dehn_range(eps):
     assert out.stderr.endswith(
         "error: --epsilon must be a number > 0 and <= pi\n")
     assert "Traceback" not in out.stderr
+
+
+def test_les_audit_output_unchanged():
+    # the histogram of rank sequences over 200 random LES triples, byte
+    # for byte
+    out = run_script("les_random_audit.py", ["--count", "200", "--seed", "0"])
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert out.stdout.encode() == \
+        (GOLDEN / "les-random-audit--count200--seed0.txt").read_bytes()
 
 
 def run_script(script, args):
