@@ -30,7 +30,6 @@ def main():
         ap.error("--epsilon must be a number > 0 and <= pi")
 
     nu = mg.ProfileFunction("dehn", args.epsilon)
-    K = mg.NormHamiltonian.bump_squared(0.3)
     rows = []
     for dim in args.dims:
         rows.append((f"twist n={dim}", mg.verify_model_twist(
@@ -45,7 +44,7 @@ def main():
                              seed=args.seed)))
             rows.append((f"suspension n={dim} {kind}",
                          mg.verify_suspension_symmetry(
-                             kind, nu, K, dim, args.samples,
+                             kind, nu, dim, args.samples,
                              seed=args.seed)))
             rows.append((f"splitting n={dim} {kind}",
                          mg.verify_involution_splitting(

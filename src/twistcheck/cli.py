@@ -177,9 +177,10 @@ def _run_model(args) -> VerificationReport:
                                             args.samples, seed=args.seed,
                                             tolerance=tol)
         elif check == "suspension":
-            rep = mg.verify_suspension_symmetry(
-                args.kind, nu, mg.NormHamiltonian.bump_squared(0.3),
-                args.dim, args.samples, seed=args.seed, tolerance=tol)
+            rep = mg.verify_suspension_symmetry(args.kind, nu, args.dim,
+                                                args.samples,
+                                                seed=args.seed,
+                                                tolerance=tol)
         else:
             rep = mg.verify_involution_splitting(args.kind, nu, args.dim,
                                                  args.samples,
@@ -209,8 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--format", choices=("table", "structured"),
                        default="table", help="output rendering")
-        p.add_argument("--seed", type=int, default=0,
-                       help="random seed for sampled checks")
         p.add_argument("--out", default=None,
                        help="write the report to this path instead of "
                             "stdout")
@@ -247,6 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "instead of the Dehn profile")
     p.add_argument("--tolerance", type=float, default=None,
                    help="override the per-check default tolerance")
+    p.add_argument("--seed", type=int, default=0,
+                   help="random seed of the sampled checks")
     common(p)
     return parser
 

@@ -6,9 +6,9 @@ metric: a point is a pair (q, p) with |q| = 1 and q . p = 0.  The norm
 of the covector is |p|.
 
 The API is batch-only: points are rows of batches (Q, P) of shape
-(rows, n+1), drawn by random_batch.  The kernels _flow, _twist, _c0 and
-_handle_batch stay private, so that tracing the public functions
-(perfbench/tracing.py) puts no span on every inner call.
+(rows, n+1), drawn by random_batch.  The kernels (_flow, _twist, _c0,
+_handle_batch, and K with its quadrature) stay private, so that tracing
+the public functions (perfbench/tracing.py) puts no span on them.
 
 Provided here:
 
@@ -23,7 +23,8 @@ Provided here:
   * the linear anti-symplectic involutions c0* (kinds "id" and "r");
   * the flow handle parameterization and the symmetry identities that
     relate it to its image under the swap-and-flip map Phi;
-  * suspension points for a norms-only interpolation Hamiltonian K and
+  * suspension points for the interpolation Hamiltonian
+    K_t = 0.3 bump(t) |xi2|^2, checked on _T_SLICES time slices, and
     the corresponding symmetry;
   * the splitting of the model twist into two anti-symplectic
     involutions, certified with finite-difference Jacobians in
@@ -38,6 +39,10 @@ over blocks (_blockwise_max).  The evaluators are pure and act row by
 row, and a max-reduce does not depend on how the rows are grouped, so
 the block size changes no residual, not even in its last bit; it only
 bounds the temporaries, which no longer grow with the sample count.
+
+Fiber-side deviations and the symplectic Jacobians are divided by
+max(1, |p|) of each row's input, so rounding that grows like |p| fails
+no correct model at large epsilon; rows with |p| <= 1 read as before.
 """
 
 from __future__ import annotations
@@ -50,7 +55,6 @@ import numpy as np
 __all__ = [
     "ModelError",
     "ProfileFunction",
-    "NormHamiltonian",
     "ResidualReport",
     "KINDS",
     "smooth_step",
@@ -388,6 +392,7 @@ def verify_handle_symmetry(kind: str, nu: ProfileFunction, dim: int,
 
     def block(b):
         q2, p2, z = _handle_batch(q[b], pf[b], p[b], qq[b], nu)
+        a = np.maximum(1.0, n[b])[:, None]      # fiber scale
 
         # Phi(alpha); the first factor of alpha is xi
         qA, pA = _c0(q2, -p2, kind)
@@ -402,10 +407,11 @@ def verify_handle_symmetry(kind: str, nu: ProfileFunction, dim: int,
         r2, s2, z2 = _handle_batch(qz, pz, p[b], qq[b], nu)
         return {
             "triple": float(np.max(np.maximum(
-                _batch_dist(qA, pA, qz, pz), _batch_dist(qB, pB, r2, s2)))),
+                _batch_dist(qA, pA / a, qz, pz / a),
+                _batch_dist(qB, pB / a, r2, s2 / a)))),
             "z": float(np.max(np.abs(z - z2))),
             "norm": float(np.max(np.abs(np.linalg.norm(pz, axis=1)
-                                        - n[b]))),
+                                        - n[b]) / a[:, 0])),
         }
 
     return ResidualReport(
@@ -424,151 +430,109 @@ def verify_handle_symmetry(kind: str, nu: ProfileFunction, dim: int,
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(48)
 
+# time slices of the suspension check; t = 0 and t = 1 are always among them
+_T_SLICES = 20
 
-def _integral(fn, t: float, norms1: np.ndarray,
-              norms2: np.ndarray) -> np.ndarray:
-    """int_0^t fn(s, norms1, norms2) ds by Gauss-Legendre quadrature."""
+
+def _bump(t):
+    """Time cut-off of K: flat-vanishing for t <= 0.1 and t >= 0.9."""
+    return smooth_step((t - 0.1) / 0.3) * smooth_step((0.9 - t) / 0.3)
+
+
+def _k_value(t, n2):
+    """K_t = 0.3 bump(t) |xi2|^2; it has no first-factor term."""
+    return 0.3 * _bump(t) * n2 ** 2
+
+
+def _k_speed(t, n2):
+    """dK_t / d|xi2|, the angular speed of the second factor's flow."""
+    return 2.0 * 0.3 * _bump(t) * n2
+
+
+def _integral(fn, t: float, norms: np.ndarray) -> np.ndarray:
+    """int_0^t fn(s, norms) ds by Gauss-Legendre quadrature."""
     if t == 0.0:
-        return np.zeros_like(norms1)
+        return np.zeros_like(norms)
     half = 0.5 * t
-    out = np.zeros_like(norms1)
+    out = np.zeros_like(norms)
     for x, w in zip(_GL_NODES, _GL_WEIGHTS):
-        out = out + w * np.asarray(fn(half * (x + 1.0), norms1, norms2),
-                                   dtype=float)
+        out = out + w * fn(half * (x + 1.0), norms)
     return half * out
 
 
-@dataclass(frozen=True)
-class NormHamiltonian:
-    """Interpolation Hamiltonian K_t depending only on fiber norms.
-
-    value(t, n1, n2) and the partial derivatives d1, d2 with respect to
-    the two norms must accept numpy arrays for n1, n2.  The flow of such
-    a Hamiltonian moves each cotangent factor along its own geodesic
-    flow with angular speed d1 and d2 respectively.
-    """
-
-    value: Callable
-    d1: Callable
-    d2: Callable
-    label: str = "custom"
-
-    @classmethod
-    def bump_squared(cls, scale: float = 1.0) -> "NormHamiltonian":
-        """K_t = scale * bump(t) * n2^2 with bump flat-vanishing for
-        t <= 0.1 and t >= 0.9."""
-        def bump(t):
-            return (smooth_step((t - 0.1) / 0.3)
-                    * smooth_step((0.9 - t) / 0.3))
-
-        def value(t, n1, n2):
-            n2 = np.asarray(n2, dtype=float)
-            return scale * bump(t) * n2 ** 2
-
-        def d1(t, n1, n2):
-            return np.zeros_like(np.asarray(n1, dtype=float))
-
-        def d2(t, n1, n2):
-            n2 = np.asarray(n2, dtype=float)
-            return 2.0 * scale * bump(t) * n2
-
-        return cls(value=value, d1=d1, d2=d2, label="bump*n2^2")
-
-
 def _suspension_flow(q: np.ndarray, pf: np.ndarray, t: float,
-                     nu0: ProfileFunction, K: NormHamiltonian):
+                     nu0: ProfileFunction):
     """Closed-form K-flow of the handle points seeded by the batch xi.
 
-    Seeds are x = (xi, psi_{nu0(|xi|)}(-xi)); both factors keep their
-    norms, so the flow of K is a geodesic flow on each factor with
-    accumulated times a(t) = int d1 and b(t) = int d2.
-    Returns (q1, p1, q2, p2, a, b).
+    Seeds are x = (xi, psi_{nu0(|xi|)}(-xi)).  K does not depend on the
+    first factor, which stays at xi; the second keeps its norm |xi| and
+    flows along its geodesic for the accumulated time b(t) = int dK/dn2.
+    Returns (q2, p2, b).
     """
     n = np.linalg.norm(pf, axis=1)
     if np.any(n == 0.0):
         raise ModelError("suspension seeds must lie off the zero section")
-    a = _integral(K.d1, t, n, n)
-    b = _integral(K.d2, t, n, n)
-    q1, p1 = _flow(q, pf, a)
+    b = _integral(_k_speed, t, n)
     q2, p2 = _flow(q, -pf, nu0(n) + b)
-    return q1, p1, q2, p2, a, b
+    return q2, p2, b
 
 
-def verify_suspension_symmetry(kind: str, nu0: ProfileFunction,
-                               K: NormHamiltonian, dim: int,
+def verify_suspension_symmetry(kind: str, nu0: ProfileFunction, dim: int,
                                samples: int = 10000, seed: int = 0,
                                tolerance: Optional[float] = None,
-                               flow=None, t_chunks: int = 20
-                               ) -> ResidualReport:
+                               flow=_suspension_flow) -> ResidualReport:
     """Certify that Phi preserves the suspension of the K-interpolation.
 
     Suspension points are (psi_t^K(x), t - i K_t(psi_t^K(x))) for x on
-    the nu0-handle.  Since K depends only on the fiber norms, Phi maps
-    the time-t slice to itself: the image of the point seeded by xi is
-    the slice point seeded by psi_{-a}(zeta) where
-    zeta = c(-psi_{nu0+a+b}(-psi_a(xi))) and a, b are the accumulated
-    factor flow times.  The C-coordinate matches exactly because
-    |zeta| = |xi|.
+    the nu0-handle.  K (_k_value) depends only on the second fiber norm,
+    so Phi maps the time-t slice to itself: the image of the point
+    seeded by xi is the slice point seeded by zeta = c(-psi_{nu0+b}(-xi)),
+    b being the accumulated flow time of the second factor.  The
+    C-coordinate matches exactly because |zeta| = |xi|.  K vanishes at
+    t = 0 and t = 1, where z also takes |Im z|.
 
-    K must vanish near t = 0 and t = 1 (checked at the endpoints).  An
-    alternative evaluator for the K-flow can be supplied through `flow`
-    (same signature as the internal closed form, returning the flowed
-    batch and the accumulated times); the test suite passes an ODE
-    integrator here.
+    The samples are split over _T_SLICES time slices.  `flow` replaces
+    the closed form _suspension_flow (same signature and return); the
+    test suite passes an ODE integrator here.
     """
     _check_kind(kind)
     rng = np.random.default_rng(seed)
     e = nu0.epsilon
-    if flow is None:
-        flow = _suspension_flow
-
-    probe = np.asarray([0.05, 0.5, 1.3])
-    end_res = max(float(np.max(np.abs(K.value(0.0, probe, probe)))),
-                  float(np.max(np.abs(K.value(1.0, probe, probe)))))
-    if end_res > 1e-12:
-        raise ModelError("interpolation Hamiltonian must vanish at the "
-                         "endpoints t = 0 and t = 1")
-
     if samples < 1:
         raise ModelError("sample count must be at least 1")
-    if t_chunks < 2:
-        raise ModelError("t_chunks must be at least 2: the slices t = 0 "
-                         "and t = 1 are always checked")
-    t_values = rng.uniform(0.0, 1.0, size=t_chunks)
-    t_values[0] = 0.0
-    t_values[1] = 1.0
+    t_values = rng.uniform(0.0, 1.0, size=_T_SLICES)
+    t_values[:2] = 0.0, 1.0
 
     residuals = {"triple": 0.0, "z": 0.0}
     for i, t in enumerate(t_values):
         # split the samples as evenly as possible over the time slices
-        rows = samples // t_chunks + (i < samples % t_chunks)
+        rows = samples // _T_SLICES + (i < samples % _T_SLICES)
         if rows == 0:
             continue
         q, pf = random_batch(dim, rows, rng, 0.02 * e, 0.90 * e)
 
         def block(blk):
-            n = np.linalg.norm(pf[blk], axis=1)
-            q1, p1, q2, p2, a, b = flow(q[blk], pf[blk], float(t), nu0, K)
-            n1 = np.linalg.norm(p1, axis=1)
-            n2 = np.linalg.norm(p2, axis=1)
-            z = t - 1j * np.asarray(K.value(float(t), n1, n2), dtype=float)
+            q1, p1 = q[blk], pf[blk]
+            n = np.linalg.norm(p1, axis=1)
+            a = np.maximum(1.0, n)[:, None]      # fiber scale
+            q2, p2, b = flow(q1, p1, float(t), nu0)
+            z = t - 1j * _k_value(float(t), np.linalg.norm(p2, axis=1))
             # Phi of the suspension point
             qA, pA = _c0(q2, -p2, kind)
             qB, pB = _c0(q1, p1, kind)
             pB = -pB
             # the corresponding slice point: zeta and its partner
-            s_tot = nu0(n) + a + b
-            qs, ps = _flow(q1, -p1, s_tot)       # psi_{nu0+a+b}(-xi_1)
+            s_tot = nu0(n) + b
+            qs, ps = _flow(q1, -p1, s_tot)       # psi_{nu0+b}(-xi)
             qz, pz = _c0(qs, -ps, kind)          # zeta
-            qw, pw = _flow(qz, -pz, s_tot)       # psi_{nu0+a+b}(-zeta)
-            nz = np.linalg.norm(pz, axis=1)
-            zb = t - 1j * np.asarray(K.value(float(t), nz, nz), dtype=float)
+            qw, pw = _flow(qz, -pz, s_tot)       # psi_{nu0+b}(-zeta)
+            zb = t - 1j * _k_value(float(t), np.linalg.norm(pz, axis=1))
             z_res = np.abs(z - zb)
             if t in (0.0, 1.0):
                 z_res = np.maximum(z_res, np.abs(z.imag))
             return {"z": float(np.max(z_res)), "triple": float(np.max(
-                np.maximum(_batch_dist(qA, pA, qz, pz),
-                           _batch_dist(qB, pB, qw, pw))))}
+                np.maximum(_batch_dist(qA, pA / a, qz, pz / a),
+                           _batch_dist(qB, pB / a, qw, pw / a))))}
 
         for key, value in _blockwise_max(block, rows).items():
             residuals[key] = float(np.maximum(residuals[key], value))
@@ -579,7 +543,7 @@ def verify_suspension_symmetry(kind: str, nu0: ProfileFunction,
         residuals=residuals,
         tolerance=tolerance,
         details={"kind": kind, "dim": dim, "seed": seed,
-                 "hamiltonian": K.label},
+                 "hamiltonian": "bump*n2^2"},
     )
 
 
@@ -688,12 +652,13 @@ def verify_model_twist(nu: ProfileFunction, dim: int, samples: int = 10000,
 
     def block(b):
         q2, p2 = twist(q[b], p[b])
+        n = np.linalg.norm(p[b], axis=1)
+        a = np.maximum(1.0, n)                   # fiber scale
         return {
             "invariants": float(np.max([
                 np.max(np.abs(np.linalg.norm(q2, axis=1) - 1.0)),
-                np.max(np.abs(np.sum(q2 * p2, axis=1))),
-                np.max(np.abs(np.linalg.norm(p2, axis=1)
-                              - np.linalg.norm(p[b], axis=1))),
+                np.max(np.abs(np.sum(q2 * p2, axis=1)) / a),
+                np.max(np.abs(np.linalg.norm(p2, axis=1) - n) / a),
             ])),
             "symplectic": _symplectic_residual(twist, q[b], p[b], q2, +1.0),
         }
@@ -755,9 +720,12 @@ def verify_involution_splitting(kind: str, nu: ProfileFunction, dim: int,
         qa, pa = ctilde(*ctilde(q[b], p[b]))
         qc, pc = cmap(*_twist(*cmap(q[b], p[b]), nu))
         qi, pi = _twist(q[b], p[b], nu, sign=-1.0)
+        a = np.maximum(1.0, np.linalg.norm(p[b], axis=1))[:, None]
         return {
-            "involution": float(np.max(_batch_dist(qa, pa, q[b], p[b]))),
-            "conjugation": float(np.max(_batch_dist(qc, pc, qi, pi))),
+            "involution": float(np.max(
+                _batch_dist(qa, pa / a, q[b], p[b] / a))),
+            "conjugation": float(np.max(
+                _batch_dist(qc, pc / a, qi, pi / a))),
         }
 
     def fd_block(b):

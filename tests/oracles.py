@@ -8,6 +8,7 @@ rank-nullity, induced maps on homology from explicit coset enumeration.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -233,33 +234,43 @@ def oracle_geodesic_flow(q, p, t, steps=800):
     return out[0], out[1]
 
 
-def oracle_suspension_flow(q, p, t, nu0, K, steps=600):
+def _oracle_bump(t):
+    """exp(-1/x) cut-off in time: 0 for t <= 0.1 and t >= 0.9, 1 on
+    [0.4, 0.6]; a scalar t."""
+    def f(x):
+        return math.exp(-1.0 / x) if x > 0.0 else 0.0
+
+    def step(x):
+        return f(x) / (f(x) + f(1.0 - x))
+
+    return step((t - 0.1) / 0.3) * step((0.9 - t) / 0.3)
+
+
+def oracle_suspension_flow(q, p, t, nu0, steps=600):
     """ODE path for the suspension: seed the nu0-handle points from the
     batch xi = (q, p), then integrate the Hamiltonian vector field of
-    K_t(|p1|, |p2|) on the product, tracking the accumulated per-factor
-    flow times a and b as extra state.
+    K_t(|p1|, |p2|) = 0.3 bump(t) |p2|^2 on the product, tracking the
+    accumulated per-factor flow times a and b as extra state.  K has no
+    first-factor term, so the first factor and a must stay put.
 
     Matches the signature of the closed-form evaluator inside
-    twistcheck.modelgeo.verify_suspension_symmetry.
+    twistcheck.modelgeo.verify_suspension_symmetry: returns (q2, p2, b).
     """
     q = np.atleast_2d(np.asarray(q, dtype=float))
     p = np.atleast_2d(np.asarray(p, dtype=float))
     n = np.linalg.norm(p, axis=1)
     q2, p2 = oracle_geodesic_flow(q, -p, nu0(n), steps=steps)
-    a = np.zeros_like(n)
-    b = np.zeros_like(n)
     if t == 0.0:
-        return q.copy(), p.copy(), q2, p2, a, b
+        return q2, p2, np.zeros_like(n)
 
     rows = q.shape[0]
     dim = q.shape[1]
 
     def field(s, y):
         q1, p1, q2, p2 = y[0], y[1], y[2], y[3]
-        n1 = np.linalg.norm(p1, axis=-1)
         n2 = np.linalg.norm(p2, axis=-1)
-        s1 = np.asarray(K.d1(s, n1, n2), dtype=float)
-        s2 = np.asarray(K.d2(s, n1, n2), dtype=float)
+        s1 = np.zeros(rows)                       # dK/d|p1|
+        s2 = 2.0 * 0.3 * _oracle_bump(s) * n2     # dK/d|p2|
         dq1, dp1 = _geodesic_field(q1, p1)
         dq2, dp2 = _geodesic_field(q2, p2)
         out = np.zeros_like(y)
@@ -274,5 +285,6 @@ def oracle_suspension_flow(q, p, t, nu0, K, steps=600):
     state = np.zeros((6, rows, dim))
     state[0], state[1], state[2], state[3] = q, p, q2, p2
     out = rk4(field, state, 0.0, t, steps)
-    return (out[0], out[1], out[2], out[3],
-            out[4][:, 0], out[5][:, 0])
+    assert np.array_equal(out[0], q) and np.array_equal(out[1], p)
+    assert not np.any(out[4])
+    return out[2], out[3], out[5][:, 0]

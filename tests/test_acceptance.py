@@ -107,22 +107,28 @@ def test_criterion_06_lemma_identities():
 def test_criterion_07_handle_and_suspension():
     t0 = time.time()
     nu = mg.ProfileFunction("dehn", 1.0)
-    K = mg.NormHamiltonian.bump_squared(0.3)
     ok = True
     for kind in ("id", "r"):
         rep = mg.verify_handle_symmetry(kind, nu, 2, 10000,
                                         tolerance=1e-9)
         ok = ok and rep.passed
-        rep = mg.verify_suspension_symmetry(kind, nu, K, 2, 10000,
+        rep = mg.verify_suspension_symmetry(kind, nu, 2, 10000,
                                             tolerance=1e-9)
         ok = ok and rep.passed
-    # independent ODE path for the suspension flow
-    rep = mg.verify_suspension_symmetry(
-        "id", nu, K, 1, 10000, tolerance=1e-6,
-        flow=lambda q, p, t, nu0, KK: oracle_suspension_flow(
-            q, p, t, nu0, KK, steps=250),
-        t_chunks=4)
-    ok = ok and rep.passed
+    # independent ODE path for the suspension flow; some inner slice
+    # must lie past the start of the bump, where the ODE integrates a K
+    # that is on (at t = 1 the accumulated time b is the whole integral)
+    slices = []
+
+    def ode_flow(q, p, t, nu0):
+        q2, p2, b = oracle_suspension_flow(q, p, t, nu0, steps=250)
+        slices.append((t, float(np.max(b))))
+        return q2, p2, b
+
+    rep = mg.verify_suspension_symmetry("id", nu, 1, 10000, tolerance=1e-6,
+                                        flow=ode_flow)
+    ok = (ok and rep.passed
+          and any(0.0 < t < 1.0 and b > 0.0 for t, b in slices))
     _report("criterion 7: handle + suspension symmetry (closed form "
             "1e-9, ODE path 1e-6)", ok, time.time() - t0, 60.0)
 

@@ -169,6 +169,14 @@ class TestInputsAndFlags:
         assert exc.value.code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("verb", cli.SURFACE_VERBS)
+    def test_seed_is_not_a_surface_option(self, capsys, verb):
+        # only verify-model samples anything
+        with pytest.raises(SystemExit) as exc:
+            cli.main([verb, "torus", "--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
 
 class TestVerifyModel:
     def test_single_check(self, capsys):
@@ -193,12 +201,13 @@ class TestVerifyModel:
         assert code == 0
         assert "profile=admissible" in out
 
-    @pytest.mark.parametrize("check", ["twist", "splitting"])
-    @pytest.mark.parametrize("eps", ["1e5", "1e8"])
+    @pytest.mark.parametrize("check", ["twist", "splitting", "all"])
+    @pytest.mark.parametrize("eps", ["1e5", "1e8", "1e7", "1e12"])
     def test_large_epsilon_model_passes(self, capsys, check, eps):
-        # fiber chart coordinates grow like epsilon; the symplectic
-        # residual rescales them, so a fixed difference step still
-        # resolves a correct model
+        # fiber chart coordinates and rounding grow like epsilon; the
+        # symplectic residual rescales the charts, so a fixed difference
+        # step still resolves a correct model, and the other fiber
+        # deviations are divided by max(1, |p|)
         code, out, _ = run(capsys, "verify-model", "--check", check,
                            "--lambda", "1.0", "--epsilon", eps,
                            "--dim", "2", "--samples", "200")
@@ -242,11 +251,11 @@ class TestVerifyModel:
                            "--dim", "1", "--samples", "20",
                            "--epsilon", "1e150", "--lambda", "1.0",
                            "--format", "structured")
-        # the residuals are huge but finite: the checks fail, with no
-        # traceback
-        assert code == 1
+        # fiber deviations are scaled by max(1, |p|), so the residuals
+        # stay finite and small and a correct model passes
+        assert code == 0, out
         doc = json.loads(out)
-        assert doc["passed"] is False
+        assert doc["passed"] is True
         assert all(v is not None for r in doc["residuals"]
                    for v in r["residuals"].values())
 
@@ -271,6 +280,18 @@ class TestVerifyModel:
                            "--samples", count)
         assert code == 2
         assert err == "twistcheck: error: --samples must be at least 1\n"
+
+    def test_seed_changes_the_samples(self, capsys):
+        outs = []
+        for seed in ("0", "3", "3"):
+            code, out, _ = run(capsys, "verify-model", "--check", "lemma",
+                               "--dim", "2", "--samples", "200", "--seed",
+                               seed, "--format", "structured")
+            assert code == 0
+            outs.append(json.loads(out))
+        assert outs[1]["residuals"][0]["details"]["seed"] == 3
+        assert outs[1] == outs[2]
+        assert outs[0]["residuals"] != outs[1]["residuals"]
 
     @pytest.mark.parametrize("count", [5, 1039])
     def test_suspension_reports_requested_samples(self, capsys, count):

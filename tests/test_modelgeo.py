@@ -20,12 +20,6 @@ def dist(a, b):
     return float(np.max(mg._batch_dist(*a, *b)))
 
 
-def zero_hamiltonian():
-    """K = 0: the suspension reduces to the handle."""
-    z = lambda t, n1, n2: np.zeros_like(np.asarray(n1, dtype=float))
-    return mg.NormHamiltonian(value=z, d1=z, d2=z, label="zero")
-
-
 def flatness(nu, r0, order=4, delta=1e-2):
     """max |nu(r0 +- h) - nu(r0)| / h^order over h in {delta, delta/2},
     on the side r >= 0: a tiny value certifies that the one-sided
@@ -385,6 +379,16 @@ class TestHandle:
         assert rep.passed, rep.as_dict()
 
 
+def recording(flow, slices):
+    """The flow seam `flow`, appending (t, max b) of each call to
+    `slices`, b being the accumulated flow time of the second factor."""
+    def wrapped(q, p, t, nu0):
+        q2, p2, b = flow(q, p, t, nu0)
+        slices.append((t, float(np.max(b))))
+        return q2, p2, b
+    return wrapped
+
+
 class TestSuspension:
     def setup_method(self):
         self.nu0 = mg.ProfileFunction("admissible", epsilon=0.5, lam=1.5)
@@ -399,56 +403,52 @@ class TestSuspension:
             return q2, p2
 
         monkeypatch.setattr(mg, "_c0", poisoned)
-        rep = mg.verify_suspension_symmetry(
-            "id", self.nu0, zero_hamiltonian(), 1, samples=200,
-            seed=17, tolerance=1e-9)
+        rep = mg.verify_suspension_symmetry("id", self.nu0, 1, samples=200,
+                                            seed=17, tolerance=1e-9)
         assert np.isnan(rep.residuals["triple"])
         assert not rep.passed
 
-    def test_zero_hamiltonian_reduces_to_handle(self):
-        rep = mg.verify_suspension_symmetry(
-            "id", self.nu0, zero_hamiltonian(), 2, samples=2000,
-            seed=17, tolerance=1e-9)
-        assert rep.passed, rep.as_dict()
+    def test_hamiltonian_vanishes_at_the_ends(self):
+        n2 = np.asarray([0.05, 0.5, 1.3])
+        for t in (0.0, 0.1, 0.9, 1.0):
+            assert not np.any(mg._k_value(t, n2))
+            assert not np.any(mg._k_speed(t, n2))
+        assert mg._bump(0.5) == 1.0
+
+    def test_speed_is_the_norm_derivative(self):
+        n2 = np.asarray([0.05, 0.5, 1.3])
+        h = 1e-6
+        for t in (0.2, 0.5, 0.75):
+            fd = (mg._k_value(t, n2 + h) - mg._k_value(t, n2 - h)) / (2 * h)
+            assert np.max(np.abs(fd - mg._k_speed(t, n2))) < 1e-8
 
     @pytest.mark.parametrize("kind", ["id", "r"])
     def test_bump_closed_form(self, kind):
-        rep = mg.verify_suspension_symmetry(
-            kind, self.nu0, mg.NormHamiltonian.bump_squared(), 2,
-            samples=2000, seed=19, tolerance=1e-9)
+        rep = mg.verify_suspension_symmetry(kind, self.nu0, 2, samples=2000,
+                                            seed=19, tolerance=1e-9)
         assert rep.passed, rep.as_dict()
         # K vanishes at the endpoints, so z stays real there
         assert rep.residuals["z"] < 1e-9
+        assert rep.details["hamiltonian"] == "bump*n2^2"
 
     def test_bump_ode_oracle_path(self):
+        slices = []
         rep = mg.verify_suspension_symmetry(
-            "id", self.nu0, mg.NormHamiltonian.bump_squared(), 1,
-            samples=1000, seed=23, tolerance=1e-6,
-            flow=oracle_suspension_flow, t_chunks=10)
+            "id", self.nu0, 1, samples=1000, seed=23, tolerance=1e-6,
+            flow=recording(oracle_suspension_flow, slices))
         assert rep.passed, rep.as_dict()
+        # b(1) is the whole integral of dK/dn2; an inner slice past the
+        # start of the bump shows the ODE integrating a K that is on
+        assert len(slices) == 20
+        assert any(0.0 < t < 1.0 and b > 0.0 for t, b in slices)
 
     def test_ode_matches_closed_form(self, rng):
-        K = mg.NormHamiltonian.bump_squared(scale=0.8)
         q, p = mg.random_batch(2, 40, rng, 0.05, 0.4)
-        a = mg._suspension_flow(q, p, 0.7, self.nu0, K)
-        b = oracle_suspension_flow(q, p, 0.7, self.nu0, K)
+        a = mg._suspension_flow(q, p, 0.7, self.nu0)
+        b = oracle_suspension_flow(q, p, 0.7, self.nu0)
+        assert np.min(a[2]) > 0.0
         for x, y in zip(a, b):
             assert np.max(np.abs(x - y)) < 1e-6
-
-    def test_endpoint_vanishing_enforced(self):
-        one = lambda t, n1, n2: np.ones_like(np.asarray(n1, float))
-        K = mg.NormHamiltonian(value=one, d1=one, d2=one)
-        with pytest.raises(mg.ModelError):
-            mg.verify_suspension_symmetry("id", self.nu0, K, 1,
-                                          samples=100, seed=1)
-
-    @pytest.mark.parametrize("t_chunks", [0, 1])
-    def test_fewer_than_two_slices_rejected(self, t_chunks):
-        # the slices t = 0 and t = 1 are always drawn
-        with pytest.raises(mg.ModelError, match="t_chunks"):
-            mg.verify_suspension_symmetry(
-                "id", self.nu0, zero_hamiltonian(), 1, samples=10,
-                t_chunks=t_chunks)
 
 
 class TestSplitting:
@@ -462,3 +462,31 @@ class TestSplitting:
         assert rep.residuals["conjugation"] < 1e-8
         assert rep.residuals["antisymplectic_c"] < 1e-5
         assert rep.residuals["antisymplectic_ctilde"] < 1e-5
+
+
+@pytest.mark.parametrize("eps", [1.0, 1e7])
+def test_stretched_involution_fails(monkeypatch, eps):
+    # the fiber residuals are divided by max(1, |p|); a c0* that stretches
+    # p by 1.001 must still fail every check that uses it, at any epsilon
+    nu = mg.ProfileFunction("admissible", epsilon=eps, lam=1.0)
+    checks = {
+        "handle": lambda: mg.verify_handle_symmetry(
+            "id", nu, 2, samples=200, tolerance=1e-9),
+        "suspension": lambda: mg.verify_suspension_symmetry(
+            "id", nu, 2, samples=200, tolerance=1e-9),
+        "splitting": lambda: mg.verify_involution_splitting(
+            "id", nu, 2, samples=200, tolerance=1e-5),
+    }
+    for name, check in checks.items():
+        assert check().passed, name
+    c0 = mg._c0
+
+    def stretched(q, p, kind):
+        q2, p2 = c0(q, p, kind)
+        return q2, 1.001 * p2
+
+    monkeypatch.setattr(mg, "_c0", stretched)
+    for name, check in checks.items():
+        rep = check()
+        assert rep.max_residual > 1e-4, (name, rep.as_dict())
+        assert not rep.passed, name
